@@ -9,9 +9,9 @@ existing imports and persisted artifacts keep working unchanged.
 On top of the digest the planner adds three fingerprint helpers:
 
 * :func:`state_fingerprint` — one hex string over a machine's complete
-  architectural state (cores, memory image, heap allocator, console);
-  hashing a freshly booted machine yields a *case fingerprint* that
-  covers the executable image and every input poke;
+  architectural state (cores, the non-zero memory pages, heap allocator,
+  console); hashing a freshly booted machine yields a *case fingerprint*
+  that covers the executable image and every input poke;
 * :func:`behavior_fingerprint` — a stable hash of everything that shapes
   a fault's runtime behaviour (trigger, actions, when-policy, mode) while
   excluding its identity (``fault_id``, metadata), so two faults that
@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..machine.memory import PAGE_SIZE
 from ..swifi.faults import MachineFault
 
 
@@ -63,6 +64,21 @@ class StateDigest:
         }
 
 
+def _hash_cores(hasher, machine) -> None:
+    for core in machine.cores:
+        hasher.update(
+            b"%d|%d|%d|%d|%d|" % (core.core_id, core.pc, core.lr, core.cr,
+                                  1 if core.halted else 0)
+        )
+        hasher.update(b",".join(b"%d" % reg for reg in core.regs))
+        hasher.update(b";")
+
+
+def _hash_heap(hasher, machine) -> None:
+    cursor, allocated, free_by_size = machine.heap.capture()
+    hasher.update(repr((cursor, sorted(allocated), sorted(free_by_size))).encode())
+
+
 def _hash_machine_state(machine) -> "hashlib._Hash":
     """SHA-256 over registers, memory image and heap allocator state.
 
@@ -71,16 +87,9 @@ def _hash_machine_state(machine) -> "hashlib._Hash":
     old fuzzer artifacts still match.
     """
     hasher = hashlib.sha256()
-    for core in machine.cores:
-        hasher.update(
-            b"%d|%d|%d|%d|%d|" % (core.core_id, core.pc, core.lr, core.cr,
-                                  1 if core.halted else 0)
-        )
-        hasher.update(b",".join(b"%d" % reg for reg in core.regs))
-        hasher.update(b";")
-    hasher.update(bytes(machine.memory.data))
-    cursor, allocated, free_by_size = machine.heap.capture()
-    hasher.update(repr((cursor, sorted(allocated), sorted(free_by_size))).encode())
+    _hash_cores(hasher, machine)
+    hasher.update(machine.memory.data)
+    _hash_heap(hasher, machine)
     return hasher
 
 
@@ -100,8 +109,24 @@ def machine_digest(machine, result, session, fault_id: str) -> StateDigest:
 
 
 def state_fingerprint(machine) -> str:
-    """One hex string over a machine's complete architectural state."""
-    hasher = _hash_machine_state(machine)
+    """One hex string over a machine's complete architectural state.
+
+    Memory enters sparsely: its size, then ``(offset, bytes)`` for each
+    page holding a non-zero byte.  All-zero pages are implied by their
+    absence, so the encoding stays injective while a freshly booted
+    machine hashes only the few pages it wrote.  Memo keys derive from
+    this encoding: a memo directory written under an earlier one simply
+    misses, and its runs execute again.
+    """
+    hasher = hashlib.sha256()
+    _hash_cores(hasher, machine)
+    memory = machine.memory
+    hasher.update(b"#memory:%d" % memory.size)
+    for page, image in memory.nonzero_pages():
+        hasher.update(b"@%d:" % (page * PAGE_SIZE))
+        hasher.update(image)
+    hasher.update(b"#heap:")
+    _hash_heap(hasher, machine)
     hasher.update(b"#console:")
     hasher.update(bytes(machine.console))
     return hasher.hexdigest()

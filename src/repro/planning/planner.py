@@ -115,9 +115,11 @@ class PlannerCache:
     def _fingerprint_for(self, case: InputCase) -> str:
         fingerprint = self._case_fps.get(case.case_id)
         if fingerprint is None:
+            # Boot state does not depend on the engine (memo_key carries
+            # it), so never build a block or trace engine just to hash.
             machine = boot(
                 self.executable, num_cores=self.num_cores,
-                inputs=dict(case.pokes), engine=self.engine,
+                inputs=dict(case.pokes), engine=ENGINE_SIMPLE,
             )
             fingerprint = state_fingerprint(machine)
             self._case_fps[case.case_id] = fingerprint

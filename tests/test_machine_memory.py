@@ -1,8 +1,11 @@
 """Unit tests for segmented memory and its protection model."""
 
+import multiprocessing
+
 import pytest
 
-from repro.machine import AlignmentTrap, Memory, MemoryTrap
+from repro.lang import compile_source
+from repro.machine import HEAP_BASE, PAGE_SIZE, AlignmentTrap, Memory, MemoryTrap, boot
 
 
 @pytest.fixture
@@ -130,3 +133,59 @@ class TestReadCString:
         memory.write_byte(0x4FFF, ord("y"))
         with pytest.raises(MemoryTrap):
             memory.read_cstring(0x4FFE)
+
+
+def _scribble(machine, queue):
+    """Fork child: write via the debug port, directly, and by running the
+    program; report what it sees."""
+    machine.memory.debug_write(HEAP_BASE, b"\xAA\xBB")
+    machine.memory.data[PAGE_SIZE * 50] = 0x5A  # a never-touched gap page
+    machine.run(10_000)
+    queue.put((machine.memory.debug_read(HEAP_BASE, 2),
+               machine.memory.data[PAGE_SIZE * 50], bytes(machine.console)))
+
+
+class TestLazyMapping:
+    """Memory is a private anonymous mapping: zero until written, and a
+    fork child's writes never reach the parent (pool workers fork)."""
+
+    def test_fresh_memory_reads_zero(self):
+        mem = Memory(3 * PAGE_SIZE)
+        assert mem.debug_read(0, 4) == bytes(4)
+        assert mem.data[3 * PAGE_SIZE - 1] == 0
+        assert list(mem.nonzero_pages()) == []
+
+    def test_nonzero_pages_lists_written_pages(self):
+        mem = Memory(4 * PAGE_SIZE)
+        mem.debug_write(PAGE_SIZE - 1, b"ab")  # straddles pages 0 and 1
+        mem.debug_write(3 * PAGE_SIZE + 7, b"c")
+        pages = dict(mem.nonzero_pages())
+        assert sorted(pages) == [0, 1, 3]
+        assert pages[3][7:8] == b"c" and len(pages[3]) == PAGE_SIZE
+        mem.debug_write(3 * PAGE_SIZE + 7, b"\x00")  # zeroed again: absent
+        assert sorted(dict(mem.nonzero_pages())) == [0, 1]
+
+    def test_partial_last_page(self):
+        mem = Memory(PAGE_SIZE + 16)
+        assert list(mem.nonzero_pages()) == []
+        mem.debug_write(PAGE_SIZE + 15, b"z")
+        ((page, image),) = mem.nonzero_pages()
+        assert page == 1 and image == bytes(15) + b"z"
+
+    def test_fork_child_writes_stay_private(self):
+        compiled = compile_source(
+            "void main() { print_int(7); exit(0); }\n", "forkmem")
+        machine = boot(compiled.executable)
+        before = bytes(machine.memory.data)
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_scribble, args=(machine, queue))
+        child.start()
+        seen = queue.get(timeout=60)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        # The child really wrote and ran ...
+        assert seen == (b"\xAA\xBB", 0x5A, b"7")
+        # ... and none of it reached the parent's machine.
+        assert bytes(machine.memory.data) == before
+        assert bytes(machine.console) == b""

@@ -2,16 +2,19 @@
 
 Covers the three planner layers in isolation: the dormancy prover's
 rules on crafted programs, the outcome memo's disk round-trip (including
-torn-line tolerance and the verify policy catching a poisoned memo), and
-the plan-partition records behind ``repro plan report``.
+torn-line tolerance and the verify policy catching a poisoned memo), the
+sparse case fingerprint that keys the memo, and the plan-partition
+records behind ``repro plan report``.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from repro.lang import compile_source
+from repro.machine import HEAP_BASE, PAGE_SIZE, STACK_REGION, STACK_SIZE, boot
 from repro.planning import (
     CampaignPlan,
     GoldenAccessTrace,
@@ -22,9 +25,12 @@ from repro.planning import (
     outcome_from_record,
     plan_from_records,
     record_from_outcome,
+    state_fingerprint,
     synthesize_record,
     trace_requirements,
 )
+from repro.planning import digest as _digest
+from repro.planning import planner as _planner
 from repro.planning.prover import (
     RULE_DEAD_STORE,
     RULE_DORMANT,
@@ -323,6 +329,88 @@ class TestCampaignPlan:
             CampaignConfig(plan_verify=0.5)  # nothing to verify
 
 
+def _legacy_state_fingerprint(machine):
+    """The case fingerprint as earlier commits computed it: SHA-256 over
+    the full memory image (so memo dirs they wrote carry these keys)."""
+    hasher = _digest._hash_machine_state(machine)
+    hasher.update(b"#console:")
+    hasher.update(bytes(machine.console))
+    return hasher.hexdigest()
+
+
+class TestStateFingerprint:
+    """The sparse fingerprint hashes only non-zero pages; every byte of
+    memory must still reach it."""
+
+    def _boot(self, dead_store_program):
+        compiled, case = dead_store_program
+        return boot(compiled.executable, inputs=dict(case.pokes))
+
+    def test_two_boots_of_one_case_agree(self, dead_store_program):
+        assert (state_fingerprint(self._boot(dead_store_program))
+                == state_fingerprint(self._boot(dead_store_program)))
+
+    @pytest.mark.parametrize("address", [
+        0,                             # page 0, below the code segment
+        PAGE_SIZE * 56 + 123,          # a gap page between heap and stacks
+        HEAP_BASE + 8,                 # heap memory
+        STACK_REGION + STACK_SIZE - 1,  # the last byte of core 0's stack
+    ], ids=["page0", "gap", "heap", "stack-end"])
+    def test_single_byte_change_is_seen(self, dead_store_program, address):
+        machine = self._boot(dead_store_program)
+        before = state_fingerprint(machine)
+        (old,) = machine.memory.debug_read(address, 1)
+        machine.memory.debug_write(address, bytes([old ^ 0x01]))
+        assert state_fingerprint(machine) != before
+        machine.memory.debug_write(address, bytes([old]))
+        assert state_fingerprint(machine) == before  # content-defined
+
+    def test_same_byte_on_different_pages_differs(self, dead_store_program):
+        first = self._boot(dead_store_program)
+        second = self._boot(dead_store_program)
+        first.memory.debug_write(PAGE_SIZE * 56, b"\x01")
+        second.memory.debug_write(PAGE_SIZE * 57, b"\x01")
+        assert state_fingerprint(first) != state_fingerprint(second)
+
+    def test_memo_dir_with_old_format_keys_starts_cold(
+        self, tmp_path, monkeypatch, dead_store_program
+    ):
+        compiled, case = dead_store_program
+        sites = compiled.debug.assignments[:2]
+        faults = [
+            _spec(f"f{index}+{delta}", OpcodeFetch(site.address),
+                  Action(StoreValue(), Arithmetic(delta)))
+            for index, site in enumerate(sites) for delta in (1, 5)
+        ]
+        runner = CampaignRunner(compiled, [case])
+        baseline = runner.run(faults, config=CampaignConfig(seed=1)).records
+        memo_dir = str(tmp_path)
+        config = CampaignConfig(seed=1, memoize=True, memo_dir=memo_dir)
+
+        # Fill the memo dir the way an earlier commit did, then poison
+        # every outcome so that any hit would change a record.
+        with monkeypatch.context() as patch:
+            patch.setattr(_planner, "state_fingerprint",
+                          _legacy_state_fingerprint)
+            filled = runner.run(faults, config=config)
+        assert filled.records == baseline
+        (memo_file,) = os.listdir(memo_dir)
+        path = os.path.join(memo_dir, memo_file)
+        entries = [json.loads(line) for line in open(path, encoding="utf-8")]
+        assert len(entries) == len(faults)
+        for entry in entries:
+            entry["outcome"]["instructions"] += 1
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(entry) + "\n" for entry in entries)
+
+        cold = runner.run(faults, config=config)
+        assert plan_from_records(cold.records).memoized == 0
+        assert cold.records == baseline
+        warm = runner.run(faults, config=config)
+        assert plan_from_records(warm.records).memoized == len(faults)
+        assert warm.records == baseline
+
+
 class TestDigestReexport:
     def test_state_digest_is_the_same_class_everywhere(self):
         from repro.planning import StateDigest as planning_digest
@@ -331,7 +419,6 @@ class TestDigestReexport:
         assert planning_digest is verify_digest
 
     def test_digest_round_trip(self, dead_store_program):
-        from repro.machine import boot
         from repro.planning import StateDigest, machine_digest
 
         compiled, case = dead_store_program
@@ -341,3 +428,8 @@ class TestDigestReexport:
         digest = machine_digest(machine, result, None, "golden")
         payload = digest.to_dict()
         assert StateDigest(**payload) == digest
+        # The verify oracle's byte layout is frozen: fuzzer artifacts
+        # recorded by earlier commits carry this exact hash.
+        assert digest.state_sha == (
+            "0800dc541d0ea529381adb9777d8f51dd963b5241d6bcc7ac95db8b50afef207"
+        )
