@@ -159,13 +159,11 @@ from .swifi import (
     DataAccess,
     DebugResourceError,
     FailureMode,
-    FaultSpec,
     FetchedWord,
     InjectionSession,
     InjectionSpec,
     InputCase,
     MachineFault,
-    LegacyCampaignAPIWarning,
     LoadValue,
     MemoryWord,
     OpcodeFetch,
@@ -199,7 +197,6 @@ from .service import (
 from .verify import (
     DifferentialOracle,
     Divergence,
-    FaultDescriptor,
     FuzzConfig,
     FuzzReport,
     MachineFaultRecipe,
@@ -231,7 +228,6 @@ __all__ = [
     "TIER_SOURCE",
     "TIERS",
     # swifi fault model (What / Where / Which / When)
-    "FaultSpec",
     "Action",
     "WhenPolicy",
     "OpcodeFetch",
@@ -263,7 +259,6 @@ __all__ = [
     "CampaignError",
     "InputCase",
     "RunRecord",
-    "LegacyCampaignAPIWarning",
     "RESULT_SCHEMA_VERSION",
     "ENGINE_BLOCK",
     "ENGINE_SIMPLE",
@@ -368,7 +363,6 @@ __all__ = [
     "DifferentialOracle",
     "Divergence",
     "MatrixConfig",
-    "FaultDescriptor",
     "MachineFaultRecipe",
     "generate_program",
     "sample_descriptors",

@@ -26,7 +26,6 @@ them.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,7 @@ from ..analysis.tables import render_table
 from ..emulation.realfaults import NotEmulableError
 from ..machine.debug import DebugResourceError
 from ..machine.loader import boot
-from ..persist import atomic_write_json
+from ..persist import JsonlAppender, atomic_write_json, read_jsonl
 from ..srcfi import (
     MUTATION_CLASSES,
     MutantCache,
@@ -399,18 +398,9 @@ def run_srcfi_compare(
     if journal_dir is not None:
         os.makedirs(journal_dir, exist_ok=True)
         journal_path = os.path.join(journal_dir, "pairs.jsonl")
-        if resume and os.path.exists(journal_path):
-            with open(journal_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        break
-                    if entry.get("type") != "pair":
-                        continue
+        if resume:
+            for entry in read_jsonl(journal_path):
+                if entry.get("type") == "pair":
                     journaled[entry["pair_id"]] = [
                         PairOutcome.from_dict(o) for o in entry["outcomes"]
                     ]
@@ -427,18 +417,17 @@ def run_srcfi_compare(
     journal = None
     try:
         if journal_path is not None:
-            journal = open(journal_path, "a", encoding="utf-8")
+            journal = JsonlAppender(journal_path)
 
         def consume(item: tuple, outcomes: list[PairOutcome]) -> None:
             nonlocal completed
             results[pair_id(item)] = outcomes
             if journal is not None:
-                journal.write(json.dumps({
+                journal.append({
                     "type": "pair",
                     "pair_id": pair_id(item),
                     "outcomes": [o.to_dict() for o in outcomes],
-                }) + "\n")
-                journal.flush()
+                })
             completed += 1
             if progress is not None:
                 progress(completed, total)

@@ -62,7 +62,6 @@ __all__ = [
     "JournalError",
     "JournalState",
     "campaign_fingerprint",
-    "encode_entry",
     "load_runs_file",
     "CampaignInterrupted",
     "CampaignOrchestrator",

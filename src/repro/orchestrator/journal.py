@@ -13,15 +13,15 @@ records from a different campaign into this one.  It is written through
 :meth:`CampaignResult.to_json` uses, so a crash never leaves a truncated
 manifest.
 
-``runs.jsonl`` is append-only: each completed run is one self-contained
-JSON line, flushed as soon as the supervisor sees it.  With tracing on
-(``CampaignConfig(trace=True)`` / ``--trace``) every run entry is
-followed by a ``trace`` entry carrying the run's span tree and fast-path
-accounting; ``repro trace report`` reads them back.  If the campaign
-process is killed mid-append the file may end in a partial line;
-:meth:`CampaignJournal.open` tolerates exactly that (the half-written
-trailing line is dropped, the run re-executes on resume) — every other
-malformed line is an error.
+``runs.jsonl`` is an append-only :class:`repro.persist.JsonlAppender`
+log: each completed run is one self-contained JSON line, flushed as soon
+as the supervisor sees it.  With tracing on (``CampaignConfig(trace=True)``
+/ ``--trace``) every run entry is followed by a ``trace`` entry carrying
+the run's span tree and fast-path accounting; ``repro trace report``
+reads them back.  A kill mid-append can leave only a torn final line,
+which :mod:`repro.persist` drops on read and trims before the next append
+(that run simply re-executes on resume); every other malformed line is a
+:class:`JournalError`.
 """
 
 from __future__ import annotations
@@ -31,24 +31,12 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..persist import atomic_write_json, trim_partial_tail
+from ..persist import JsonlAppender, JsonlError, atomic_write_json, read_jsonl
 from ..swifi.campaign import RunRecord
 
 MANIFEST_NAME = "manifest.json"
 RUNS_NAME = "runs.jsonl"
 JOURNAL_VERSION = 1
-
-
-def encode_entry(entry: dict) -> str:
-    """Serialise one journal entry to its canonical JSONL line.
-
-    Every writer of ``runs.jsonl`` — the in-process journal below and the
-    service broker's segment merge (:mod:`repro.service.merge`) — must go
-    through this function: the distributed chaos suite asserts merged
-    journals bit-identical to serial ones, so the byte encoding of a line
-    is part of the journal contract, not an implementation detail.
-    """
-    return json.dumps(entry) + "\n"
 
 
 class JournalError(RuntimeError):
@@ -96,30 +84,17 @@ class JournalState:
 def load_runs_file(path: str) -> JournalState:
     """Parse one ``runs.jsonl`` into a :class:`JournalState`.
 
-    Tolerates exactly one malformed line — an unterminated final line
-    left by a kill mid-append (that run simply re-executes on resume);
-    any other malformed or unknown entry is a :class:`JournalError`.
-    Used both by :meth:`CampaignJournal.open` and by the fingerprint-free
-    readers in :mod:`repro.observability.report`.
+    Read through :func:`repro.persist.read_jsonl`, so a torn final line is
+    dropped; any other malformed or unknown entry is a
+    :class:`JournalError`.  Used both by :meth:`CampaignJournal.open` and
+    by the fingerprint-free readers in :mod:`repro.observability.report`.
     """
     state = JournalState()
-    if not os.path.exists(path):
-        return state
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
-    lines = raw.split("\n")
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            # Only an unterminated final line can be a crash artefact.
-            if position == len(lines) - 1 and not raw.endswith("\n"):
-                break
-            raise JournalError(
-                f"corrupt journal line {position + 1} in {path!r}"
-            ) from None
+    try:
+        entries = read_jsonl(path)
+    except JsonlError as error:
+        raise JournalError(f"corrupt journal line: {error}") from None
+    for entry in entries:
         kind = entry.get("type")
         if kind == "run":
             state.records[int(entry["index"])] = RunRecord.from_dict(entry["record"])
@@ -136,18 +111,13 @@ def load_runs_file(path: str) -> JournalState:
     return state
 
 
-def _trim_partial_tail(path: str) -> None:
-    """Truncate an unterminated final line left by a crash mid-append."""
-    trim_partial_tail(path)
-
-
 class CampaignJournal:
     """Append-only journal of completed runs for one campaign."""
 
     def __init__(self, directory: str, fingerprint: dict) -> None:
         self.directory = directory
         self.fingerprint = fingerprint
-        self._handle = None
+        self._log: JsonlAppender | None = None
 
     # -- opening -------------------------------------------------------
 
@@ -183,27 +153,18 @@ class CampaignJournal:
                     "campaign (program/seed/fault set/case set differ); refusing "
                     "to resume from it"
                 )
-            state = self._load_runs()
+            state = load_runs_file(self.runs_path)
         else:
             atomic_write_json(self.manifest_path, self.fingerprint)
-        # A kill mid-append can leave runs.jsonl ending in a partial line.
-        # The reader drops it, but appending after it would fuse the next
-        # record onto the fragment — corrupting the middle of the file for
-        # every later resume — so trim the fragment before reopening.
-        _trim_partial_tail(self.runs_path)
-        self._handle = open(self.runs_path, "a", encoding="utf-8")
+        self._log = JsonlAppender(self.runs_path)
         return state
-
-    def _load_runs(self) -> JournalState:
-        return load_runs_file(self.runs_path)
 
     # -- appending -----------------------------------------------------
 
     def _append(self, entry: dict) -> None:
-        if self._handle is None:
+        if self._log is None:
             raise JournalError("journal is not open")
-        self._handle.write(encode_entry(entry))
-        self._handle.flush()
+        self._log.append(entry)
 
     def append_record(self, run_index: int, record: RunRecord) -> None:
         self._append({"type": "run", "index": run_index, "record": record.to_dict()})
@@ -230,14 +191,13 @@ class CampaignJournal:
 
     def sync(self) -> None:
         """Flush and fsync the run log (called at shard boundaries)."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        if self._log is not None:
+            self._log.sync()
 
     def close(self) -> None:
-        if self._handle is not None:
+        if self._log is not None:
             try:
                 self.sync()
             finally:
-                self._handle.close()
-                self._handle = None
+                self._log.close()
+                self._log = None

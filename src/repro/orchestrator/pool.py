@@ -5,6 +5,8 @@ This is the host-side "experiment management software" scaled out: the
 in a fresh worker process (:mod:`.worker`), every completed run is
 journaled (:mod:`.journal`) the moment its message arrives, and the
 telemetry aggregator (:mod:`.telemetry`) keeps live rates and tallies.
+At ``jobs=1`` the pending runs form one shard, executed in this process
+by the same :func:`.worker.execute_shard_runs` loop the workers run.
 
 Supervision contract:
 
@@ -27,11 +29,12 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
-from ..observability import trace as _trace
-from ..swifi.campaign import CampaignResult, InputCase, RunRecord, execute_injection_run
+from ..swifi.campaign import CampaignResult, InputCase, RunRecord
+# Not called here: the end-to-end benchmark's layer tracer wraps this name.
+from ..swifi.campaign import execute_injection_run  # noqa: F401
 from ..swifi.faults import MachineFault
 from .journal import CampaignJournal, JournalState, campaign_fingerprint
-from .scheduler import Shard, pair_for_index, plan_shards
+from .scheduler import Shard, plan_shards
 from .telemetry import (
     NullSink,
     TelemetryAggregator,
@@ -44,6 +47,7 @@ from .worker import (
     MSG_RUN,
     ShardTask,
     build_shard_task,
+    execute_shard_runs,
     shard_worker_main,
 )
 
@@ -153,6 +157,9 @@ class CampaignOrchestrator:
         self.quantum = quantum
         self.options = options or OrchestratorOptions()
         self.telemetry = telemetry or NullSink()
+        # Per-run snapshots cost a rate computation and a dict; build them
+        # only when some sink will look at them.
+        self._live_telemetry = not isinstance(self.telemetry, NullSink)
         self.progress = progress
         self.label = label or program
         self.total_runs = len(self.faults) * len(self.cases)
@@ -185,10 +192,6 @@ class CampaignOrchestrator:
         )
 
     # ------------------------------------------------------------------
-
-    def _pair(self, run_index: int) -> tuple[MachineFault, InputCase]:
-        fault_index, case_index = pair_for_index(run_index, len(self.cases))
-        return self.faults[fault_index], self.cases[case_index]
 
     def _fingerprint(self) -> dict:
         return campaign_fingerprint(
@@ -230,11 +233,6 @@ class CampaignOrchestrator:
         self._notify_progress(len(completed))
 
         failed: dict[int, str] = {}
-        previous_tracing = False
-        if self.options.trace:
-            # Inline runs execute in this process; pool workers enable the
-            # flag themselves from ShardTask.trace.
-            previous_tracing = _trace.set_tracing(True)
         try:
             if self.options.jobs <= 1:
                 self._run_inline(pending, completed, journal, aggregator)
@@ -250,8 +248,6 @@ class CampaignOrchestrator:
                 )
                 journal.append_plan(plan.to_dict())
         finally:
-            if self.options.trace:
-                _trace.set_tracing(previous_tracing)
             if journal is not None:
                 journal.close()
 
@@ -269,39 +265,61 @@ class CampaignOrchestrator:
             executed_runs=aggregator.executed,
         )
 
-    def _snapshot_cache(self):
-        """One golden-run snapshot cache for this process, or ``None``."""
-        if self.options.snapshot == "off":
-            return None
-        from ..swifi.snapshot import SnapshotCache
-
-        return SnapshotCache(
-            self.executable,
-            self.faults,
+    def _task(self, *, shard_id: int, attempt: int, indices, seed: int,
+              **drills) -> ShardTask:
+        """A shard task over *indices* under this campaign's options."""
+        options = self.options
+        return build_shard_task(
+            shard_id=shard_id,
+            attempt=attempt,
+            indices=indices,
+            program=self.program,
+            executable=self.executable,
+            faults=self.faults,
+            cases=self.cases,
+            budgets=self.budgets,
             num_cores=self.num_cores,
             quantum=self.quantum,
-            policy=self.options.snapshot,
-            engine=self.options.engine,
+            seed=seed,
+            snapshot=options.snapshot,
+            trace=options.trace,
+            engine=options.engine,
+            prune=options.prune,
+            memoize=options.memoize,
+            memo_dir=options.memo_dir,
+            plan_verify=options.plan_verify,
+            **drills,
         )
 
-    def _planner_cache(self):
-        """One campaign planner for this process, or ``None``."""
-        if not self.options.prune and not self.options.memoize:
-            return None
-        from ..planning import PlannerCache
-
-        return PlannerCache(
-            self.executable,
-            self.faults,
-            num_cores=self.num_cores,
-            quantum=self.quantum,
-            engine=self.options.engine,
-            prune=self.options.prune,
-            memoize=self.options.memoize,
-            memo_dir=self.options.memo_dir,
-            verify_fraction=self.options.plan_verify,
-            seed=self.options.seed,
-        )
+    def _complete(
+        self,
+        run_index: int,
+        record: RunRecord,
+        trace_payload: dict | None,
+        completed: dict[int, RunRecord],
+        journal: CampaignJournal | None,
+        aggregator: TelemetryAggregator,
+    ) -> None:
+        """Book one finished run: journal, telemetry, progress, interrupt."""
+        completed[run_index] = record
+        if journal is not None:
+            journal.append_record(run_index, record)
+            if trace_payload is not None:
+                journal.append_trace(run_index, trace_payload)
+        aggregator.record_run(record, trace=trace_payload)
+        if self._live_telemetry:
+            self.telemetry.update(aggregator.snapshot())
+        self._notify_progress(len(completed))
+        if (
+            self.options.interrupt_after is not None
+            and aggregator.executed >= self.options.interrupt_after
+        ):
+            raise CampaignInterrupted(
+                f"campaign stopped after {aggregator.executed} runs "
+                "(interrupt_after)",
+                len(completed),
+                self.total_runs,
+            )
 
     # -- inline (jobs=1) path ------------------------------------------
 
@@ -312,44 +330,21 @@ class CampaignOrchestrator:
         journal: CampaignJournal | None,
         aggregator: TelemetryAggregator,
     ) -> None:
-        snapshots = self._snapshot_cache()
-        planner = self._planner_cache()
-        try:
-            for index in pending:
-                spec, case = self._pair(index)
-                record = execute_injection_run(
-                    self.executable,
-                    spec,
-                    case,
-                    budget=self.budgets[case.case_id],
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    snapshots=snapshots,
-                    engine=self.options.engine,
-                    planner=planner,
-                )
-                trace_payload = _trace.take_completed() if self.options.trace else None
-                completed[index] = record
-                if journal is not None:
-                    journal.append_record(index, record)
-                    if trace_payload is not None:
-                        journal.append_trace(index, trace_payload)
-                aggregator.record_run(record, trace=trace_payload)
-                self.telemetry.update(aggregator.snapshot())
-                self._notify_progress(len(completed))
-                if (
-                    self.options.interrupt_after is not None
-                    and aggregator.executed >= self.options.interrupt_after
-                ):
-                    raise CampaignInterrupted(
-                        f"campaign stopped after {aggregator.executed} runs "
-                        "(interrupt_after)",
-                        len(completed),
-                        self.total_runs,
-                    )
-        finally:
-            if planner is not None:
-                planner.close()
+        """Run every pending index as one shard, in this process.
+
+        The same :func:`execute_shard_runs` loop the pool and service
+        workers run, with the campaign seed as the shard's stream.
+        """
+        if not pending:
+            return
+        task = self._task(shard_id=0, attempt=1, indices=pending,
+                          seed=self.options.seed)
+
+        def emit(run_index: int, record: RunRecord, trace_payload: dict | None) -> None:
+            self._complete(run_index, record, trace_payload, completed,
+                           journal, aggregator)
+
+        execute_shard_runs(task, emit)
 
     # -- parallel path --------------------------------------------------
 
@@ -360,25 +355,11 @@ class CampaignOrchestrator:
         stall_attempts, stall_seconds = self.options.stall_shards.get(
             state.shard.shard_id, (0, 0.0)
         )
-        return build_shard_task(
+        return self._task(
             shard_id=state.shard.shard_id,
             attempt=state.attempt,
             indices=sorted(state.remaining),
-            program=self.program,
-            executable=self.executable,
-            faults=self.faults,
-            cases=self.cases,
-            budgets=self.budgets,
-            num_cores=self.num_cores,
-            quantum=self.quantum,
             seed=state.shard.seed,
-            snapshot=self.options.snapshot,
-            trace=self.options.trace,
-            engine=self.options.engine,
-            prune=self.options.prune,
-            memoize=self.options.memoize,
-            memo_dir=self.options.memo_dir,
-            plan_verify=self.options.plan_verify,
             crash_after_runs=crash_after if crash_attempts else None,
             crash_attempts=crash_attempts,
             stall_seconds=stall_seconds,
@@ -472,27 +453,11 @@ class CampaignOrchestrator:
                     tag = message[0]
                     if tag == MSG_RUN:
                         _, shard_id, run_index, payload, trace_payload = message
-                        state = states[shard_id]
-                        record = RunRecord.from_dict(payload)
-                        completed[run_index] = record
-                        state.remaining.discard(run_index)
-                        if journal is not None:
-                            journal.append_record(run_index, record)
-                            if trace_payload is not None:
-                                journal.append_trace(run_index, trace_payload)
-                        aggregator.record_run(record, trace=trace_payload)
-                        self.telemetry.update(aggregator.snapshot())
-                        self._notify_progress(len(completed))
-                        if (
-                            self.options.interrupt_after is not None
-                            and aggregator.executed >= self.options.interrupt_after
-                        ):
-                            raise CampaignInterrupted(
-                                f"campaign stopped after {aggregator.executed} "
-                                "runs (interrupt_after)",
-                                len(completed),
-                                self.total_runs,
-                            )
+                        states[shard_id].remaining.discard(run_index)
+                        self._complete(
+                            run_index, RunRecord.from_dict(payload),
+                            trace_payload, completed, journal, aggregator,
+                        )
                     elif tag == MSG_DONE:
                         _, shard_id, _attempt = message
                         state = states[shard_id]

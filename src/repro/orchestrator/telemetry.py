@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -112,7 +112,7 @@ class TelemetryAggregator:
         self.pruned = 0
         self.memoized = 0
         self.resumed_runs = 0
-        self._recent: list[float] = []  # completion times inside RATE_WINDOW
+        self._recent: deque[float] = deque()  # completion times inside RATE_WINDOW
         self.trace_stats: TraceStats | None = TraceStats() if tracing else None
         if resumed:
             self.resumed_runs = len(resumed)
@@ -140,7 +140,7 @@ class TelemetryAggregator:
         self._recent.append(now)
         cutoff = now - RATE_WINDOW
         while self._recent and self._recent[0] < cutoff:
-            self._recent.pop(0)
+            self._recent.popleft()
 
     def record_retry(self) -> None:
         self.retries += 1

@@ -1,8 +1,8 @@
 """The shard worker: one fresh process per shard of injection runs.
 
-The paper reboots the target machine between injections; the serial
-campaign loop reproduces that with a fresh simulated machine per run.
-The orchestrator strengthens it the way a real farm would: every shard
+The paper reboots the target machine between injections; every run
+boots a fresh simulated machine (or restores a proven-equivalent
+snapshot).  The pool strengthens it the way a real farm would: every shard
 is executed by a **fresh worker process**, so not even interpreter state
 (caches, allocator, a corrupted C extension…) can leak between shards —
 and a worker that dies takes only its own shard's un-journaled runs with
@@ -15,10 +15,12 @@ a missing marker (dead process, exceeded deadline) as a shard failure
 and retries only the runs whose messages never arrived.
 
 The run loop itself — snapshot/planner cache setup, per-run execution,
-trace capture — is :func:`execute_shard_runs`, shared verbatim with the
-distributed service's workers (:mod:`repro.service.worker`): a shard
-means exactly the same thing whether it arrived through a
-``multiprocessing`` queue or over the broker's HTTP lease protocol.
+trace capture — is :func:`execute_shard_runs`, the only campaign run loop
+for the machine tier: pool workers, the distributed service's workers
+(:mod:`repro.service.worker`) and the orchestrator's in-process ``jobs=1``
+path all call it, so a shard means exactly the same thing whether it
+arrived through a ``multiprocessing`` queue, over the broker's HTTP lease
+protocol, or never left the campaign process.
 """
 
 from __future__ import annotations

@@ -1,22 +1,27 @@
-"""Crash-safe file persistence shared by results and the campaign journal.
+"""Crash-safe file persistence: atomic snapshots and one append-only log.
 
 A campaign interrupted mid-write must never leave a truncated artefact
 behind: results files are replayed by ``--resume`` and by the figure
 benchmarks (``REPRO_REUSE_CAMPAIGN``), so a half-written JSON file would
-poison later runs.  Both :meth:`CampaignResult.to_json` and the
-orchestrator's journal manifest therefore go through the same helper:
-write the full payload to a temporary file *in the same directory* (so
-``os.replace`` stays on one filesystem and is atomic), fsync, then
-replace the target in one step.
+poison later runs.  Whole-file artefacts — :meth:`CampaignResult.to_json`,
+journal manifests, merged journals — therefore go through
+:func:`atomic_write_text`: write the full payload to a temporary file *in
+the same directory* (so ``os.replace`` stays on one filesystem and is
+atomic), fsync, then replace the target in one step.
 
-Append-only JSON-lines journals (the campaign runs file, the planner's
-on-disk outcome memos, the verify fuzzer's case journal, the srcfi
-campaign journal) have the complementary hazard: a crash mid-append
-leaves an unterminated final line.  Readers tolerate that torn tail,
-but a *writer* re-opening in append mode would fuse its first new
-record onto the partial line, corrupting two records at once.
-:func:`trim_partial_tail` is the repair every such writer applies
-before appending to a journal it did not create in this process.
+Every append-only JSON-lines file — the campaign's ``runs.jsonl``, the
+service's journal segments, the srcfi and compare journals, the verify
+fuzzer's journal and the planner's memo sinks — is written by
+:class:`JsonlAppender` and read by :func:`read_jsonl`, so all of them
+share one encoding and one tolerance policy:
+
+* a line is ``json.dumps(entry) + "\\n"`` (:func:`encode_entry`) for one
+  JSON object, flushed as soon as it is appended;
+* a crash mid-append can leave exactly one unterminated final line.  The
+  reader drops it; the appender truncates it before its first write, so
+  a resumed writer never fuses a new line onto the fragment;
+* any other malformed line can only come from outside damage, and the
+  reader raises :class:`JsonlError` naming the file and line number.
 """
 
 from __future__ import annotations
@@ -52,21 +57,99 @@ def atomic_write_json(path: str, payload: object, *, indent: int | None = None) 
     atomic_write_text(path, json.dumps(payload, indent=indent))
 
 
+# -- the append-only JSONL log -----------------------------------------------
+
+
+class JsonlError(ValueError):
+    """A malformed JSONL line that is not a crash-torn final line."""
+
+
+def encode_entry(entry: dict) -> str:
+    """Serialise one log entry to its canonical JSONL line.
+
+    The byte encoding of a line is part of every journal's contract: the
+    distributed chaos suite asserts merged journals bit-identical to
+    serial ones, and the service merge renders canonical journals with
+    this same function.
+    """
+    return json.dumps(entry) + "\n"
+
+
+def read_jsonl(path: str | os.PathLike) -> list[dict]:
+    """Every entry of the JSONL file at *path* ([] when it does not exist).
+
+    Drops the unterminated final line, if any, and skips blank lines.
+    Every other line must be one JSON object, or :class:`JsonlError`
+    names ``path:line``.
+    """
+    path = os.fspath(path)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except FileNotFoundError:
+        return []
+    lines.pop()  # "" after a final newline, else the crash-torn fragment
+    entries: list[dict] = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            entry = None
+        if not isinstance(entry, dict):
+            raise JsonlError(f"{path}:{number}: malformed JSONL line")
+        entries.append(entry)
+    return entries
+
+
 def trim_partial_tail(path: str | os.PathLike) -> None:
     """Truncate an unterminated final line left by a crash mid-append.
 
     No-op for missing files, empty files and files whose last byte is a
-    newline.  Otherwise truncates back to just after the last newline
-    (to zero bytes when the whole file is one partial line), so the next
-    append starts a fresh, well-formed record.
+    newline (checked without reading the file).  Otherwise truncates
+    back to just after the last newline (to zero bytes when the whole
+    file is one partial line), so the next append starts a fresh line.
     """
-    path = os.fspath(path)
-    if not os.path.exists(path):
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
         return
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if not data or data.endswith(b"\n"):
-        return
-    keep = data.rfind(b"\n") + 1  # 0 when the whole file is one partial line
-    with open(path, "r+b") as handle:
-        handle.truncate(keep)
+    with handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return
+        handle.seek(-1, os.SEEK_END)
+        if handle.read(1) == b"\n":
+            return
+        handle.seek(0)
+        handle.truncate(handle.read().rfind(b"\n") + 1)
+
+
+class JsonlAppender:
+    """Appends entries to one JSONL file, one flushed line per entry.
+
+    Opening trims a crash-torn tail first (:func:`trim_partial_tail`);
+    :meth:`sync` adds an fsync for callers that need a durability point.
+    Usable as a context manager.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        trim_partial_tail(path)
+        self._handle = open(path, "a", encoding="utf-8")
+
+    def append(self, entry: dict) -> None:
+        self._handle.write(encode_entry(entry))
+        self._handle.flush()
+
+    def sync(self) -> None:
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "JsonlAppender":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -16,18 +16,18 @@ one cached outcome while keeping their own identities.
 
 Persistence is append-only JSONL, one file per writer process
 (``memo-<pid>.jsonl``) so concurrent shard workers never interleave
-writes.  Loading reads every ``*.jsonl`` in the directory and skips torn
-trailing lines, which makes kill + resume safe: a campaign resumed over
-a warm memo directory replays every previously executed outcome.
+writes.  Loading reads every ``*.jsonl`` in the directory through
+:func:`repro.persist.read_jsonl`, which drops a torn final line, so kill
++ resume is safe: a campaign resumed over a warm memo directory replays
+every previously executed outcome.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-from ..persist import trim_partial_tail
+from ..persist import JsonlAppender, read_jsonl
 from ..swifi.campaign import InputCase, RunRecord
 from ..swifi.faults import MachineFault
 from ..swifi.outcomes import FailureMode
@@ -85,23 +85,11 @@ class OutcomeCache:
     def _load(self) -> int:
         loaded = 0
         for path in sorted(self._dir.glob("*.jsonl")):
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = entry["key"]
-                    outcome = entry["outcome"]
-                except (ValueError, KeyError, TypeError):
-                    # torn write from a killed process — resume past it
-                    continue
+            for entry in read_jsonl(path):
+                key = entry["key"]
                 if key not in self._outcomes:
                     loaded += 1
-                self._outcomes[key] = outcome
+                self._outcomes[key] = entry["outcome"]
         return loaded
 
     def __len__(self) -> int:
@@ -117,12 +105,9 @@ class OutcomeCache:
         if self._dir is not None:
             if self._sink is None:
                 # A previous process with this pid may have been killed
-                # mid-append; fuse-proof the tail before the first write.
-                sink_path = self._dir / f"memo-{os.getpid()}.jsonl"
-                trim_partial_tail(sink_path)
-                self._sink = open(sink_path, "a", encoding="utf-8")
-            self._sink.write(json.dumps({"key": key, "outcome": outcome}) + "\n")
-            self._sink.flush()
+                # mid-append; the appender trims its torn tail first.
+                self._sink = JsonlAppender(self._dir / f"memo-{os.getpid()}.jsonl")
+            self._sink.append({"key": key, "outcome": outcome})
 
     def close(self) -> None:
         if self._sink is not None:

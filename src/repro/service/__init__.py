@@ -29,7 +29,6 @@ from .merge import (
     MergeConflict,
     merge_entries,
     merge_segment_files,
-    parse_segment_text,
     render_canonical_runs,
     write_canonical_journal,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "MergeConflict",
     "merge_entries",
     "merge_segment_files",
-    "parse_segment_text",
     "render_canonical_runs",
     "write_canonical_journal",
     "WIRE_VERSION",

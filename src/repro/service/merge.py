@@ -6,9 +6,9 @@ local ``runs.jsonl`` holds — and lease-based work stealing delivers them
 may finish the same run, and a report can land after the broker already
 rewound the shard.  The merge makes that safe:
 
-* every segment is repaired with :func:`repro.persist.trim_partial_tail`
-  first (a SIGKILLed writer leaves an unterminated final line, same as
-  the local journal);
+* every segment is read with :func:`repro.persist.read_jsonl`, which
+  drops the unterminated final line a SIGKILLed writer leaves, same as
+  for the local journal;
 * records are deduplicated by their serial run index — the campaign
   fingerprint pins what the index *means*, so two records for one index
   are the same (fault, case) pair executed twice;
@@ -16,50 +16,29 @@ rewound the shard.  The merge makes that safe:
   disagreement can only mean corruption or a mis-routed segment, and the
   merge refuses (:class:`MergeConflict`) rather than guessing;
 * the canonical journal is written in serial-index order through
-  :func:`repro.orchestrator.journal.encode_entry`, which makes it
+  :func:`repro.persist.encode_entry`, which makes it
   bit-identical to the journal a single-process ``--jobs 1`` campaign
   writes — the invariant the chaos suite asserts.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterable, Sequence
 
-from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME, encode_entry
-from ..persist import atomic_write_json, atomic_write_text, trim_partial_tail
+from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME
+from ..persist import (
+    JsonlError,
+    atomic_write_json,
+    atomic_write_text,
+    encode_entry,
+    read_jsonl,
+)
 from ..swifi.campaign import RunRecord
 
 
 class MergeConflict(RuntimeError):
     """Two segments disagree about one run's record — refuse to merge."""
-
-
-def parse_segment_text(text: str) -> list[dict]:
-    """Parse one segment's JSONL text into journal entry dicts.
-
-    Mirrors the local journal reader's crash tolerance: exactly one
-    unterminated final line (a writer killed mid-append) is dropped; any
-    other malformed line is an error.
-    """
-    entries: list[dict] = []
-    lines = text.split("\n")
-    for position, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if position == len(lines) - 1 and not text.endswith("\n"):
-                break
-            raise MergeConflict(
-                f"corrupt segment line {position + 1}"
-            ) from None
-        if not isinstance(entry, dict):
-            raise MergeConflict(f"segment line {position + 1} is not an object")
-        entries.append(entry)
-    return entries
 
 
 def merge_entries(
@@ -107,20 +86,13 @@ def merge_segment_files(
     *,
     total_runs: int | None = None,
 ) -> tuple[dict[int, dict], dict[int, dict]]:
-    """Trim, parse and merge segment files (missing files are skipped)."""
+    """Read and merge segment files (missing files are skipped)."""
     all_entries: list[list[dict]] = []
     for path in sorted(paths):
-        if not os.path.exists(path):
-            continue
-        # Repair a torn tail before parsing, exactly as every local
-        # journal writer does before appending (see repro.persist).
-        trim_partial_tail(path)
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
         try:
-            all_entries.append(parse_segment_text(text))
-        except MergeConflict as error:
-            raise MergeConflict(f"{path}: {error}") from None
+            all_entries.append(read_jsonl(path))
+        except JsonlError as error:
+            raise MergeConflict(f"corrupt segment line: {error}") from None
     return merge_entries(all_entries, total_runs=total_runs)
 
 

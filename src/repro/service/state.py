@@ -11,10 +11,11 @@ restarted broker needs lives in the campaign directory —
 * ``journal/`` — the merged canonical journal, written once complete.
 
 Leases are held only in memory.  A broker that is SIGKILLed and
-restarted recovers by re-reading segments (each repaired with
-:func:`repro.persist.trim_partial_tail`), recomputing the set of done
-run indices, and re-sharding whatever is missing; every in-flight lease
-is implicitly void, which at-least-once segment intake makes harmless.
+restarted recovers by re-reading segments (through
+:func:`repro.persist.read_jsonl`, which drops a torn final line),
+recomputing the set of done run indices, and re-sharding whatever is
+missing; every in-flight lease is implicitly void, which at-least-once
+segment intake makes harmless.
 
 Shard lifecycle::
 
@@ -38,10 +39,10 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME, encode_entry
+from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME
 from ..orchestrator.scheduler import plan_shards
 from ..orchestrator.worker import build_shard_task
-from ..persist import atomic_write_json, atomic_write_text
+from ..persist import JsonlAppender, atomic_write_json, atomic_write_text
 from .merge import merge_segment_files, write_canonical_journal
 from .protocol import (
     STATUS_LEASE,
@@ -441,7 +442,6 @@ class BrokerState:
     ) -> None:
         path = campaign.segment_path(worker_id, shard_id, attempt)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        lines: list[str] = []
         for entry in entries:
             kind = entry.get("type")
             if kind == "run":
@@ -457,11 +457,10 @@ class BrokerState:
                 campaign.traced.add(int(entry["index"]))
             else:
                 raise ServiceError(f"unknown report entry type {kind!r}")
-            lines.append(encode_entry(entry))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("".join(lines))
-            handle.flush()
-            os.fsync(handle.fileno())
+        with JsonlAppender(path) as segment:
+            for entry in entries:
+                segment.append(entry)
+            segment.sync()
 
     # -- completion ----------------------------------------------------
 

@@ -20,7 +20,6 @@ have, so ``snapshot``/``prune``/``memoize`` raise
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -36,7 +35,7 @@ from ..swifi.campaign import (
     RunRecord,
     execute_injection_run,
 )
-from ..persist import trim_partial_tail
+from ..persist import JsonlAppender, read_jsonl
 from ..swifi.spec import TIER_SOURCE
 from .mutator import MutantCache, SourceMutant, SrcfiError, realize_source_fault
 from .spec import SourceFault
@@ -133,28 +132,6 @@ def _worker_run(payload: tuple) -> list[RunRecord]:
     )
 
 
-# -- journal -----------------------------------------------------------------
-
-def _load_journal(path: str) -> dict[tuple[str, str], RunRecord]:
-    done: dict[tuple[str, str], RunRecord] = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail write of a killed campaign
-            if entry.get("type") != "run":
-                continue
-            record = RunRecord.from_dict(entry["record"])
-            done[(record.fault_id, record.case_id)] = record
-    return done
-
-
 def run_source_campaign(
     runner: CampaignRunner,
     faults: list,
@@ -173,11 +150,11 @@ def run_source_campaign(
     if config.journal_dir is not None:
         os.makedirs(config.journal_dir, exist_ok=True)
         journal_path = os.path.join(config.journal_dir, JOURNAL_NAME)
-        # Repair a crash-torn tail before the append below fuses a new
-        # record onto it (the resume reader only *tolerates* the tear).
-        trim_partial_tail(journal_path)
         if config.resume:
-            done = _load_journal(journal_path)
+            for entry in read_jsonl(journal_path):
+                if entry.get("type") == "run":
+                    record = RunRecord.from_dict(entry["record"])
+                    done[(record.fault_id, record.case_id)] = record
 
     # Which (fault, case) units still need executing?
     pending: list[tuple[SourceFault, set[str] | None]] = []
@@ -196,17 +173,14 @@ def run_source_campaign(
     journal = None
     try:
         if journal_path is not None:
-            journal = open(journal_path, "a", encoding="utf-8")
+            journal = JsonlAppender(journal_path)
 
         def consume(batch: list[RunRecord]) -> None:
             nonlocal completed
             for record in batch:
                 done[(record.fault_id, record.case_id)] = record
                 if journal is not None:
-                    journal.write(json.dumps(
-                        {"type": "run", "record": record.to_dict()}
-                    ) + "\n")
-                    journal.flush()
+                    journal.append({"type": "run", "record": record.to_dict()})
                 completed += 1
                 if progress is not None:
                     progress(completed, total)

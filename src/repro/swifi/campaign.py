@@ -21,7 +21,6 @@ role here:
 from __future__ import annotations
 
 import json
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
@@ -34,13 +33,7 @@ from ..persist import atomic_write_json
 from .faults import MachineFault
 from .injector import InjectionSession
 from .outcomes import MODE_ORDER, FailureMode, classify
-from .spec import (
-    InjectionSpec,
-    LegacyCampaignAPIWarning,
-    TIER_MACHINE,
-    TIER_SOURCE,
-    TIERS,
-)
+from .spec import InjectionSpec, TIER_MACHINE, TIER_SOURCE, TIERS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..machine.loader import Executable
@@ -67,19 +60,13 @@ class CampaignError(RuntimeError):
     """Raised when the fault-free program disagrees with its oracle."""
 
 
-# LegacyCampaignAPIWarning historically lived here; it moved to
-# repro.swifi.spec when the legacy FaultSpec/FaultDescriptor constructor
-# shims started emitting it too.  Re-exported so existing warning filters
-# keyed on "repro.swifi.campaign.LegacyCampaignAPIWarning" keep working.
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything that shapes *how* a campaign executes (never *what*).
 
     One frozen value object instead of a sprawl of keyword arguments:
 
-    * ``jobs`` — worker processes (1 = the classic serial loop);
+    * ``jobs`` — worker processes (1 = one in-process shard);
     * ``journal_dir``/``resume`` — JSONL journal of completed runs, and
       whether to continue from it instead of re-running;
     * ``seed`` — campaign seed for per-shard RNG streams;
@@ -172,12 +159,6 @@ class CampaignConfig:
             raise ValueError(
                 "plan_verify needs the planner on (prune and/or memoize)"
             )
-
-
-#: run() keyword arguments accepted by the deprecated pre-config API.
-_LEGACY_RUN_KEYS = frozenset(
-    {"jobs", "journal_dir", "resume", "seed", "telemetry", "label"}
-)
 
 
 @dataclass(frozen=True)
@@ -358,11 +339,12 @@ def execute_injection_run(
 ) -> RunRecord:
     """One injection run: fresh boot, arm, execute, classify.
 
-    This is the unit of work both the serial :class:`CampaignRunner` loop
-    and the orchestrator's worker processes execute — keeping it a plain
-    module-level function of picklable arguments is what lets a shard be
-    shipped to a fresh process (the paper's "the target system is rebooted
-    between injections" becomes "a fresh machine in a fresh worker").
+    This is the unit of work :func:`repro.orchestrator.worker.execute_shard_runs`
+    loops over, in the campaign process at ``jobs=1`` and in pool or
+    service workers otherwise — keeping it a plain module-level function
+    of picklable arguments is what lets a shard be shipped to a fresh
+    process (the paper's "the target system is rebooted between
+    injections" becomes "a fresh machine in a fresh worker").
 
     With a :class:`repro.planning.PlannerCache` (per process, like the
     snapshot cache), the run is first offered to the campaign planner:
@@ -525,42 +507,18 @@ class CampaignRunner:
         progress: Callable[[int, int], None] | None = None,
         *,
         config: CampaignConfig | None = None,
-        **legacy,
     ) -> CampaignResult:
         """The full campaign: every fault against every input case.
 
-        Execution options ride in one :class:`CampaignConfig`.  With the
-        default config this is the classic serial loop; ``jobs > 1``, a
-        ``journal_dir`` or a ``telemetry`` sink delegate to the
-        :mod:`repro.orchestrator` subsystem (sharded worker pool,
-        resumable journal), and ``snapshot`` enables the golden-run
-        restore fast path.  Results are bit-identical to the plain serial
-        loop in every configuration.
-
-        The pre-config keyword arguments (``jobs=``, ``journal_dir=``,
-        ``resume=``, ``seed=``, ``telemetry=``, ``label=``) still work but
-        emit :class:`LegacyCampaignAPIWarning`.
+        Execution options ride in one :class:`CampaignConfig`.  Every
+        machine-tier campaign runs through the :mod:`repro.orchestrator`
+        subsystem: ``jobs=1`` executes the matrix as one in-process shard,
+        ``jobs > 1`` through the supervised worker pool, both with the
+        same per-shard run loop; ``journal_dir`` makes it resumable and
+        ``snapshot``/``prune``/``memoize`` enable the fast paths.  Records
+        are bit-identical in every configuration.
         """
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass config=CampaignConfig(...) or the legacy keyword "
-                    "arguments, not both"
-                )
-            unknown = set(legacy) - _LEGACY_RUN_KEYS
-            if unknown:
-                raise TypeError(
-                    f"unknown campaign option(s): {sorted(unknown)}; "
-                    "see CampaignConfig"
-                )
-            warnings.warn(
-                "CampaignRunner.run(jobs=..., journal_dir=..., ...) is "
-                "deprecated; pass config=CampaignConfig(...) instead",
-                LegacyCampaignAPIWarning,
-                stacklevel=2,
-            )
-            config = CampaignConfig(**legacy)
-        elif config is None:
+        if config is None:
             config = CampaignConfig()
         self._apply_budget_overrides(config)
         if config.opt_level != self.compiled.opt_level:
@@ -581,68 +539,6 @@ class CampaignRunner:
             from ..srcfi.campaign import run_source_campaign
 
             return run_source_campaign(self, faults, config, progress)
-
-        if (
-            config.jobs == 1
-            and config.journal_dir is None
-            and config.telemetry is None
-            and not config.trace
-        ):
-            self.calibrate()
-            snapshots = None
-            if config.snapshot != SNAPSHOT_OFF:
-                from .snapshot import SnapshotCache
-
-                snapshots = SnapshotCache(
-                    self.compiled.executable,
-                    faults,
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    policy=config.snapshot,
-                    engine=config.engine,
-                )
-            planner = None
-            if config.prune or config.memoize:
-                from ..planning import PlannerCache
-
-                planner = PlannerCache(
-                    self.compiled.executable,
-                    faults,
-                    num_cores=self.num_cores,
-                    quantum=self.quantum,
-                    engine=config.engine,
-                    prune=config.prune,
-                    memoize=config.memoize,
-                    memo_dir=config.memo_dir,
-                    verify_fraction=config.plan_verify,
-                    seed=config.seed,
-                )
-            result = CampaignResult(program=self.compiled.name)
-            total = len(faults) * len(self.cases)
-            done = 0
-            try:
-                for spec in faults:
-                    for case in self.cases:
-                        result.records.append(
-                            execute_injection_run(
-                                self.compiled.executable,
-                                spec,
-                                case,
-                                budget=self._budget_for(case),
-                                num_cores=self.num_cores,
-                                quantum=self.quantum,
-                                snapshots=snapshots,
-                                engine=config.engine,
-                                planner=planner,
-                            )
-                        )
-                        done += 1
-                        if progress is not None:
-                            progress(done, total)
-            finally:
-                if planner is not None:
-                    planner.close()
-            return result
 
         from ..orchestrator import CampaignOrchestrator, OrchestratorOptions
 

@@ -25,11 +25,10 @@ This module encodes exactly that decomposition:
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .spec import InjectionSpec, LegacyCampaignAPIWarning, TIER_MACHINE
+from .spec import InjectionSpec, TIER_MACHINE
 
 # ---------------------------------------------------------------------------
 # What: corruptions
@@ -308,25 +307,6 @@ class MachineFault(InjectionSpec):
             f"{self.fault_id}: which={self.trigger} when={self.when} "
             f"mode={self.mode} [{actions}]"
         )
-
-
-class FaultSpec(MachineFault):
-    """Deprecated pre-tier spelling of :class:`MachineFault`.
-
-    Constructing one works exactly like ``MachineFault`` but emits
-    :class:`LegacyCampaignAPIWarning`; every consumer accepts either
-    (``FaultSpec`` *is a* ``MachineFault``).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "FaultSpec is the legacy name of the machine-tier injection "
-            "spec; construct repro.swifi.MachineFault (or a srcfi "
-            "SourceFault for the source tier) instead",
-            LegacyCampaignAPIWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 def probe(probe_id: str, address: int, mode: str = MODE_BREAKPOINT) -> MachineFault:

@@ -15,12 +15,6 @@ The reproduction now has two injection backends:
 ``tier``, yields a stable ``spec_id`` and renders a one-line
 ``describe()``.  Campaign plumbing (``CampaignConfig(tier=...)``, the
 CLI's ``--tier``) selects a backend by the same two strings.
-
-The legacy names ``FaultSpec`` and ``FaultDescriptor`` survive as
-constructor shims that emit :class:`LegacyCampaignAPIWarning` — the same
-deprecation channel the campaign layer's legacy keyword spelling already
-uses (pyproject promotes it to an error for this repo's own code and
-tests, so internal callers must use the tiered names).
 """
 
 from __future__ import annotations
@@ -28,17 +22,6 @@ from __future__ import annotations
 TIER_MACHINE = "machine"
 TIER_SOURCE = "source"
 TIERS = (TIER_MACHINE, TIER_SOURCE)
-
-
-class LegacyCampaignAPIWarning(DeprecationWarning):
-    """A caller used a deprecated campaign-era API spelling.
-
-    Emitted by the legacy ``CampaignRunner.run(jobs=..., ...)`` keyword
-    form and by the pre-tier constructor names ``FaultSpec`` /
-    ``FaultDescriptor``.  Kept importable from
-    :mod:`repro.swifi.campaign` (its historical home) so existing
-    warning filters keep matching.
-    """
 
 
 class InjectionSpec:
@@ -63,7 +46,6 @@ class InjectionSpec:
 
 __all__ = [
     "InjectionSpec",
-    "LegacyCampaignAPIWarning",
     "TIER_MACHINE",
     "TIER_SOURCE",
     "TIERS",

@@ -21,7 +21,6 @@ from .oracle import (
     run_state,
 )
 from .sampler import (
-    FaultDescriptor,
     MachineFaultRecipe,
     SamplerError,
     sample_descriptors,
@@ -32,7 +31,6 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "DifferentialOracle",
     "Divergence",
-    "FaultDescriptor",
     "FuzzConfig",
     "FuzzReport",
     "GenProgram",

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ from .sampler import MachineFaultRecipe, SamplerError, sample_descriptors
 from .shrinker import ShrinkResult, shrink_case
 from ..lang import compile_source
 from ..machine.machine import ENGINE_SIMPLE, ENGINES
-from ..persist import trim_partial_tail
+from ..persist import JsonlAppender, read_jsonl
 from ..swifi.campaign import (
     CampaignConfig,
     CampaignError,
@@ -231,24 +230,13 @@ def _open_journal(config: FuzzConfig) -> tuple[Path | None, dict[int, dict]]:
     directory = Path(config.journal_dir)
     directory.mkdir(parents=True, exist_ok=True)
     journal = directory / FUZZ_JOURNAL
-    # Repair a crash-torn tail before this campaign's first append would
-    # fuse onto it; the resume reader below then never sees a torn line.
-    trim_partial_tail(journal)
     done: dict[int, dict] = {}
-    if config.resume and journal.exists():
-        with open(journal, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn tail write of a killed campaign
-                if (entry.get("type") == "program"
-                        and entry.get("seed") == config.seed
-                        and entry.get("tier") == config.tier):
-                    done[int(entry["index"])] = entry
+    if config.resume:
+        for entry in read_jsonl(journal):
+            if (entry.get("type") == "program"
+                    and entry.get("seed") == config.seed
+                    and entry.get("tier") == config.tier):
+                done[int(entry["index"])] = entry
     return journal, done
 
 
@@ -265,8 +253,8 @@ def _journal_program(journal: Path, config: FuzzConfig, index: int,
         "skipped": report.skipped_faults - before[3],
         "opt_cases": report.opt_cases - before[5],
     }
-    with open(journal, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry) + "\n")
+    with JsonlAppender(journal) as log:
+        log.append(entry)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzReport:

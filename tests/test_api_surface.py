@@ -32,11 +32,6 @@ class TestTierSurface:
                      "run_srcfi_compare", "CompareReport"):
             assert name in api.__all__, name
 
-    def test_legacy_names_stay_exported(self):
-        # The deprecation shims remain part of the stable surface.
-        for name in ("FaultSpec", "FaultDescriptor"):
-            assert name in api.__all__, name
-
     def test_reexports_are_the_same_objects(self):
         from repro import srcfi
         from repro.experiments import srcfi_compare

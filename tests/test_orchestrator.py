@@ -280,6 +280,30 @@ class TestRateGuards:
         assert aggregator.rate() == 0.0
         assert aggregator.snapshot().eta_seconds is None
 
+    def test_sliding_window_rate_on_a_fixed_clock(self, monkeypatch):
+        """rate() equals the windowed definition at every step of a run
+        much longer than RATE_WINDOW, and the window stays bounded."""
+        import time
+
+        from repro.orchestrator.telemetry import RATE_WINDOW
+
+        clock = [1000.0]
+        monkeypatch.setattr(time, "monotonic", lambda: clock[0])
+        aggregator = TelemetryAggregator(label="t", total_runs=400, workers=1)
+        started, times = clock[0], []
+        for step in range(400):
+            clock[0] += 0.05 + 0.3 * (step % 7 == 0)  # uneven run lengths
+            times.append(clock[0])
+            aggregator.record_run(make_record())
+            recent = [t for t in times if t >= clock[0] - RATE_WINDOW]
+            elapsed = clock[0] - started
+            if elapsed > RATE_WINDOW and len(recent) >= 2:
+                expected = (len(recent) - 1) / (recent[-1] - recent[0])
+            else:
+                expected = len(times) / elapsed
+            assert aggregator.rate() == expected
+            assert len(aggregator._recent) == len(recent)
+
 
 class TestProgressRendererGuards:
     def _snapshot(self, aggregator=None):

@@ -28,6 +28,7 @@ from repro.orchestrator import (
 from repro.swifi import (
     Action,
     Arithmetic,
+    CampaignResult,
     CampaignRunner,
     MachineFault,
     InputCase,
@@ -62,7 +63,9 @@ def campaign():
         ).with_metadata(klass="assignment", error_type=f"value+{delta}")
         for delta in range(1, 7)
     ]
-    serial = runner.run(faults)
+    # The reference: one run_one() per (fault, case), no orchestrator.
+    serial = CampaignResult(program=compiled.name)
+    serial.records = [runner.run_one(spec, case) for spec in faults for case in cases]
     return runner, faults, serial
 
 
@@ -78,6 +81,22 @@ class TestDeterminism:
         runner, faults, serial = campaign
         outcome = orchestrate(runner, faults, jobs=1, seed=11)
         assert outcome.result.records == serial.records
+
+    def test_serial_campaign_is_one_inline_shard(self, campaign, monkeypatch):
+        from repro.orchestrator import pool
+
+        runner, faults, serial = campaign
+        shards = []
+        real = pool.execute_shard_runs
+
+        def counting(task, emit):
+            shards.append(len(task.runs))
+            return real(task, emit)
+
+        monkeypatch.setattr(pool, "execute_shard_runs", counting)
+        result = runner.run(faults)
+        assert shards == [len(serial.records)]
+        assert result.records == serial.records
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_matches_serial_bit_for_bit(self, campaign, jobs):

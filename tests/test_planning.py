@@ -239,19 +239,6 @@ class TestOutcomeMemo:
         assert warm.get("k1") == outcome
         assert warm.get("missing") is None
 
-    def test_torn_and_malformed_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "memo-1.jsonl"
-        good = {"key": "k1", "outcome": {"mode": "correct"}}
-        path.write_text(
-            json.dumps(good) + "\n"
-            + "not json at all\n"
-            + '{"missing": "fields"}\n'
-            + json.dumps({"key": "k2", "outcome": {"mode": "crash"}})[:10]
-        )
-        cache = OutcomeCache(str(tmp_path))
-        assert cache.get("k1") == {"mode": "correct"}
-        assert cache.get("k2") is None
-
     def test_verify_policy_catches_poisoned_memo(self, tmp_path,
                                                  dead_store_program):
         compiled, case = dead_store_program

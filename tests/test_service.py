@@ -45,7 +45,6 @@ from repro.service import (
     encode_blob,
     merge_entries,
     merge_segment_files,
-    parse_segment_text,
 )
 from repro.service.protocol import (
     STATUS_IDLE,
@@ -239,15 +238,17 @@ def run_entry(index, payload="r"):
 
 
 class TestMerge:
-    def test_parse_drops_single_torn_tail(self):
-        text = json.dumps(run_entry(0)) + "\n" + '{"type": "run", "ind'
-        entries = parse_segment_text(text)
-        assert [e["index"] for e in entries] == [0]
+    def test_parse_drops_single_torn_tail(self, tmp_path):
+        segment = tmp_path / "seg.jsonl"
+        segment.write_text(json.dumps(run_entry(0)) + "\n" + '{"type": "run", "ind')
+        records, _ = merge_segment_files([str(segment)])
+        assert sorted(records) == [0]
 
-    def test_parse_rejects_interior_corruption(self):
-        text = '{"bad json\n' + json.dumps(run_entry(0)) + "\n"
-        with pytest.raises(MergeConflict):
-            parse_segment_text(text)
+    def test_parse_rejects_interior_corruption(self, tmp_path):
+        segment = tmp_path / "seg.jsonl"
+        segment.write_text('{"bad json\n' + json.dumps(run_entry(0)) + "\n")
+        with pytest.raises(MergeConflict, match="seg.jsonl:1"):
+            merge_segment_files([str(segment)])
 
     def test_duplicate_identical_records_dedup(self):
         records, _ = merge_entries([[run_entry(0), run_entry(1)],

@@ -8,9 +8,9 @@ writer would have produced from the same records.  And the lease
 invariant: under ANY schedule of lease grants, expiries, partial reports
 and thefts, every run index ends up with exactly one record.
 
-Segments on disk go through :func:`repro.persist.trim_partial_tail` (via
-``merge_segment_files``) on every file, which is what makes the torn-tail
-cases pass.
+Segments on disk are read through :func:`repro.persist.read_jsonl` (via
+``merge_segment_files``), which drops a torn final line; writers trim it
+with :func:`repro.persist.trim_partial_tail` before appending.
 """
 
 import json
@@ -18,8 +18,7 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from repro.orchestrator.journal import encode_entry
-from repro.persist import trim_partial_tail
+from repro.persist import encode_entry, trim_partial_tail
 from repro.service import (
     CAMPAIGN_COMPLETE,
     BrokerState,

@@ -10,7 +10,6 @@ from repro.swifi import (
     TIER_SOURCE,
     TIERS,
     InjectionSpec,
-    LegacyCampaignAPIWarning,
     MachineFault,
 )
 
@@ -57,29 +56,7 @@ class TestSourceFault:
 
 
 class TestLegacyShims:
-    def test_legacy_fault_spec_warns(self):
-        from repro.swifi.faults import (
-            Action,
-            Arithmetic,
-            FaultSpec,
-            OpcodeFetch,
-            StoreValue,
-        )
-
-        with pytest.warns(LegacyCampaignAPIWarning):
-            spec = FaultSpec(
-                "legacy", OpcodeFetch(0),
-                (Action(StoreValue(), Arithmetic(1)),),
-            )
-        assert isinstance(spec, MachineFault)
-        assert spec.tier == TIER_MACHINE
-
-    def test_legacy_fault_descriptor_warns(self):
-        from repro.verify.sampler import FaultDescriptor, MachineFaultRecipe
-
-        with pytest.warns(LegacyCampaignAPIWarning):
-            descriptor = FaultDescriptor(kind="table3", klass="assignment")
-        assert isinstance(descriptor, MachineFaultRecipe)
+    """The pre-tier constructor shims are gone; the tiered names are silent."""
 
     def test_machine_fault_does_not_warn(self):
         from repro.swifi.faults import (
