@@ -185,8 +185,9 @@ def run_section6(
     (off / auto / verify); outcomes are bit-identical either way.
     ``trace`` records per-run span traces into each campaign's journal
     and telemetry (``repro trace report <journal_dir>`` reads them back).
-    ``engine`` picks the machine execution engine (simple / block); the
-    block engine is faster but bit-identical, so figures never change.
+    ``engine`` picks the machine execution engine (simple / block /
+    trace); the compiled engines are faster but bit-identical, so
+    figures never change.
     ``prune``/``memoize``/``memo_dir``/``plan_verify`` drive the campaign
     planner (:mod:`repro.planning`): statically pruned and memoized runs
     synthesize their records without booting, bit-identical by

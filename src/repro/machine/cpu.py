@@ -4,9 +4,9 @@ The dispatch loop uses a per-address *decode cache*: the first execution of
 each word extracts ``(opcode, rd, ra, rb, imm)`` once; later executions
 reuse the tuple.  The cache is invalidated whenever the debug port writes
 into the code segment, so injected instruction corruptions always take
-effect — and instructions fetched while a fault trigger is armed on their
-address bypass the cache entirely (a data-bus corruption of the fetch must
-not be remembered).
+effect — and a word substituted by a fetch-watch handler is decoded
+without being cached (a data-bus corruption of the fetch must not be
+remembered).
 
 Faults hook in at three architecturally faithful points:
 
@@ -218,16 +218,18 @@ class Core:
                         address=pc,
                     )
                 index = (pc - code_base) >> 2
+                decoded = decode_cache[index]
                 if fetch_watch and pc in fetch_watch:
                     self.pc = pc
                     substitute = fetch_watch[pc](self, pc, code_words[index])
-                    word = code_words[index] if substitute is None else substitute
-                    decoded = decode_fields(word)
-                else:
-                    decoded = decode_cache[index]
-                    if decoded is None:
-                        decoded = decode_fields(code_words[index])
-                        decode_cache[index] = decoded
+                    if substitute is None:
+                        # a handler that rewrote the word cleared its entry
+                        decoded = decode_cache[index]
+                    else:
+                        decoded = decode_fields(substitute)
+                if decoded is None:
+                    decoded = decode_fields(code_words[index])
+                    decode_cache[index] = decoded
                 executed += 1
                 opcode, rd, ra, rb, imm = decoded
 

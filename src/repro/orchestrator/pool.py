@@ -94,7 +94,6 @@ class OrchestratorOptions:
     shard_size: int | None = None
     max_retries: int = 2
     shard_deadline: float | None = None     # seconds per shard attempt
-    mp_start_method: str | None = None      # None → multiprocessing default
     interrupt_after: int | None = None      # stop after N newly executed runs
     #: Supervision drill: shard_id → (crashing attempts, crash after N runs).
     crash_shards: dict[int, tuple[int, int]] = dataclass_field(default_factory=dict)
@@ -382,7 +381,7 @@ class CampaignOrchestrator:
         )
         if not shards:
             return
-        context = multiprocessing.get_context(self.options.mp_start_method)
+        context = multiprocessing.get_context()
         results = context.Queue()
         waiting = [_ShardState(shard) for shard in shards]
         active: dict[int, _ShardState] = {}

@@ -26,7 +26,6 @@ protocol, or never left the campaign process.
 from __future__ import annotations
 
 import os
-import random
 import time
 import traceback
 from dataclasses import dataclass
@@ -242,8 +241,6 @@ def execute_shard_runs(
 
 def shard_worker_main(task: ShardTask, queue) -> None:
     """Entry point of a worker process: execute the shard, stream results."""
-    rng = random.Random(task.seed)  # the shard's private stream; handed to
-    del rng                         # stochastic run components when they exist
     sent = 0
 
     def emit(run_index: int, record: RunRecord, payload: dict | None) -> None:

@@ -5,8 +5,9 @@ makes most runs never execute:
 
 * :mod:`repro.planning.digest` — state digests and fingerprints (shared
   with :mod:`repro.verify`) plus the outcome-memo key;
-* :mod:`repro.planning.replay` — the instrumented golden-run replay that
-  records per-address read/write/execute access;
+* :mod:`repro.planning.replay` — the golden access trace: one fault-free
+  run on the reference interpreter, observed through its fetch-watch
+  hook, recording per-address read/write/execute access;
 * :mod:`repro.planning.prover` — static dormancy / dead-location proofs
   that synthesize run records without booting a machine;
 * :mod:`repro.planning.memo` — the outcome memo (in-memory plus optional

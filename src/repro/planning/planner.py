@@ -5,8 +5,9 @@
 tries, in order:
 
 1. **prune** — ask the dormancy prover whether the record can be
-   synthesized from the case's golden access trace (one instrumented
-   replay per case, built lazily and shared by all of its faults);
+   synthesized from the case's golden access trace (one observed
+   fault-free run per case, built lazily and shared by all of its
+   faults);
 2. **memoize** — look the run up in the outcome memo under its
    (case fingerprint, behaviour fingerprint, execution parameters) key;
    outcomes of previously *executed* runs — in this process or, with an

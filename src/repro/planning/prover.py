@@ -1,8 +1,9 @@
 """The dormancy prover: static fault classification against a golden trace.
 
 Given one fault spec and one :class:`~repro.planning.replay.GoldenAccessTrace`
-the prover answers a single question: *can this injection run's record be
-synthesized without booting a machine?*  Two families of proof:
+— the case's fault-free run as the reference interpreter executed it —
+the prover answers a single question: *can this injection run's record
+be synthesized without booting a machine for it?*  Two families of proof:
 
 * **dormant trigger** — the trigger event never activates in the golden
   run (the pc is never fetched, the data address never accessed, the
@@ -99,7 +100,12 @@ def trace_requirements(
     faults: list[MachineFault],
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """(watch pcs, data addresses, register ordinals) a trace must record
-    to classify every fault in the set."""
+    to classify every fault in the set.
+
+    The watch pcs are the trigger pcs plus every word a ``CodeWord`` or
+    ``MemoryWord`` action corrupts (the trace keeps those inside the code
+    segment: their last fetch decides ``dead-word``).
+    """
     watch_pcs: set[int] = set()
     data_addrs: set[int] = set()
     tracked_regs: set[int] = set()
@@ -110,8 +116,11 @@ def trace_requirements(
         elif isinstance(trigger, DataAccess):
             data_addrs.add(trigger.address)
         for action in spec.actions:
-            if isinstance(action.location, RegisterTarget):
-                tracked_regs.add(action.location.index)
+            location = action.location
+            if isinstance(location, RegisterTarget):
+                tracked_regs.add(location.index)
+            elif isinstance(location, (CodeWord, MemoryWord)):
+                watch_pcs.add(location.address)
     return frozenset(watch_pcs), frozenset(data_addrs), frozenset(tracked_regs)
 
 
@@ -364,7 +373,8 @@ def _word_invisible(
     # the corruption is permanent: any fetch or read at-or-after the first
     # injection observes it (the trigger instruction itself is fetched at
     # *first*, so corrupting the trigger's own word always declines)
-    if trace.last_exec_at(addr) >= first:
+    last_exec = trace.last_exec_at(addr)
+    if last_exec is None or last_exec >= first:
         return None
     if trace.last_read_at(addr) >= first:
         return None

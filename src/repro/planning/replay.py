@@ -1,39 +1,40 @@
-"""Instrumented golden-run replay: per-address access facts for pruning.
+"""Golden-run access trace: per-address access facts for pruning.
 
 The dormancy prover needs to know, for one (program, input case) pair,
 what the fault-free run actually touches:
 
-* how often every code address is fetched (trigger activation counts),
-  and the *last* instruction index that fetched it;
-* for each address the campaign's fault set triggers on, the condition
-  register and effective address observed at every activation (branch
-  decision equivalence, dead-store analysis);
-* the last instruction index at which every memory word is read — by a
-  load or by the ``puts`` syscall walking a string (dead-location
-  analysis);
-* read/write event lists for the registers the fault set corrupts
+* how often each watched pc is fetched, with the condition register and
+  effective address at every fetch (trigger activation counts, branch
+  decision equivalence, dead-store analysis), and when a corrupted code
+  word is last fetched;
+* when each memory word is last read — by a load or by the ``puts``
+  syscall walking a string (dead-location analysis);
+* read/write events for the registers the fault set corrupts
   (dead-register analysis);
 * load/store counts on data-trigger addresses (data-trigger dormancy).
 
-:class:`CaseTrace` (the snapshot fast path) pauses a real ``machine.run``
-at watchpoints, which is cheap because it instruments only a handful of
-addresses.  Access tracing instruments *every* instruction, so driving it
-through one-instruction quanta would be ruinously slow on multi-million
-instruction workloads.  Instead this module re-implements the ``simple``
-engine's interpreter loop (:meth:`repro.machine.cpu.Core._run_quantum_simple`)
-with the bookkeeping inlined, running over a really booted machine so
-syscalls, the heap and the console behave identically.
+The trace runs no model of the CPU of its own.  Like Xception watching
+its target through the processor's debug facilities, it boots the
+program, installs observers in the interpreter's own hook tables and
+runs the golden run with ``Machine.run`` on the ``simple`` engine.  It
+observes only the fetches the prover reads: every load, every ``sc``,
+the watched pcs and — when registers are tracked — the instructions that
+touch them; data-trigger addresses get data watches.  An instruction's
+*index* is its ordinal among observed fetches.  The prover only compares
+indices with each other, and every fetch it compares is observed, so
+ordinals order exactly as retirement positions would.
 
-Fail-safe by construction: the trace only reports ``ok`` when the replay
-exited cleanly within budget (and below :func:`trace_cap`) and its
-console output matches the case oracle byte-for-byte.  Any divergence —
-an interpreter-drift bug here, a hanging golden run, an oversized
-workload — disables planning for the case rather than risking a wrong
-synthesized record.
+Fail-safe by construction: the trace only reports ``ok`` when the golden
+run exited cleanly within budget (and below :func:`trace_cap`) and its
+console output matches the case oracle byte-for-byte, and an accessor
+asked about a fetch it did not observe answers ``None`` so the prover
+declines.  A hanging golden run or an oversized workload disables
+planning for the case rather than risking a wrong synthesized record.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable
 
@@ -48,10 +49,6 @@ from ..isa.encoding import (
     OP_ADDI,
     OP_ADDIS,
     OP_ANDI,
-    OP_B,
-    OP_BC,
-    OP_BL,
-    OP_BLR,
     OP_CMPI,
     OP_CMPLI,
     OP_LBZ,
@@ -66,45 +63,21 @@ from ..isa.encoding import (
     OP_SRWI,
     OP_STB,
     OP_STW,
-    OP_TRAP,
     OP_XO,
     OP_XORI,
-    XO_ADD,
-    XO_AND,
-    XO_CMP,
-    XO_DIVW,
-    XO_MODW,
-    XO_MUL,
-    XO_NEG,
-    XO_NOR,
-    XO_NOT,
-    XO_OR,
-    XO_SLW,
-    XO_SRAW,
-    XO_SRW,
-    XO_SUB,
-    XO_XOR,
 )
 from ..machine.cpu import decode_fields
 from ..machine.loader import Executable, boot
-from ..machine.machine import RunResult
+from ..machine.machine import ENGINE_SIMPLE
 from ..machine.syscalls import SYS_PUTS
-from ..machine.traps import (
-    ArithmeticTrap,
-    IllegalInstructionTrap,
-    MemoryTrap,
-    Trap,
-    TrapInstructionHit,
-)
 from ..swifi.campaign import InputCase
 
 _MASK = 0xFFFFFFFF
-_SIGN = 0x80000000
 
 #: Default per-case instruction ceiling for access tracing.  Beyond it the
 #: trace declares itself unusable and the planner falls back to normal
 #: execution for the whole case — pruning is an optimisation, never worth
-#: an unbounded golden replay.
+#: an unbounded golden run.
 DEFAULT_TRACE_CAP = 8_000_000
 
 #: Taken/not-taken for each branch condition over the three condition
@@ -119,6 +92,8 @@ COND_TRIPLES: dict[int, tuple[bool, bool, bool]] = {
     COND_ALWAYS: (True, True, True),
 }
 
+_MEMORY_OPCODES = frozenset({OP_LWZ, OP_STW, OP_LBZ, OP_STB})
+_READ_OPCODES = frozenset({OP_LWZ, OP_LBZ, OP_SC})
 _ALU_IMM_OPCODES = frozenset(
     {OP_ADDI, OP_ADDIS, OP_MULLI, OP_ANDI, OP_ORI, OP_XORI,
      OP_SLWI, OP_SRWI, OP_SRAWI}
@@ -138,12 +113,38 @@ def cond_taken(cond: int, cr: int) -> bool | None:
     return triple[0] if cr < 0 else (triple[1] if cr == 0 else triple[2])
 
 
-class GoldenAccessTrace:
-    """One instrumented fault-free run of (executable, case).
+def _register_accesses(
+    opcode: int, rd: int, ra: int, rb: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(read, written) registers of one decoded instruction.
 
-    Instruction indices are 0-based retirement positions: the instruction
-    at index ``i`` is the ``i+1``-th to execute.  "Read at index i" means
-    the instruction executing at position i observed the value, so a
+    Conservative: every ``sc`` reads r3 and its result writes are
+    ignored, and every XO form reads rb (an extra read or a missing write
+    can only under-prune, never mis-prune).
+    """
+    if opcode in _ALU_IMM_OPCODES or opcode == OP_LWZ or opcode == OP_LBZ:
+        return (ra,), (rd,)
+    if opcode == OP_STW or opcode == OP_STB:
+        return (ra, rd), ()
+    if opcode == OP_XO:
+        return (ra, rb), (rd,)
+    if opcode == OP_CMPI or opcode == OP_CMPLI:
+        return (ra,), ()
+    if opcode == OP_MFLR:
+        return (), (rd,)
+    if opcode == OP_MTLR:
+        return (rd,), ()
+    if opcode == OP_SC:
+        return (3,), ()
+    return (), ()  # branches, trap
+
+
+class GoldenAccessTrace:
+    """One observed fault-free run of (executable, case).
+
+    Indices are 0-based ordinals among observed fetches: the fetch at
+    index ``i`` happens before the one at ``i + 1``.  "Read at index i"
+    means the instruction fetched at index i observed the value, so a
     store at index ``s`` is dead when no read of its target word has an
     index greater than ``s``.
     """
@@ -163,391 +164,149 @@ class GoldenAccessTrace:
         self.failure: str | None = None
         cap = trace_cap() if cap is None else cap
 
-        machine = boot(executable, num_cores=1, inputs=dict(case.pokes))
+        machine = boot(executable, num_cores=1, inputs=dict(case.pokes),
+                       engine=ENGINE_SIMPLE)
         self._code_base = machine.code_base
         self._code_end = machine.code_end
-        self._code_words = list(machine.code_words)
+        self._code_words = machine.code_words
         self._mapped = [(s.start, s.end) for s in machine.memory.segments]
-        n_words = len(self._code_words)
 
-        self._exec_count = [0] * n_words
-        self._exec_last = [-1] * n_words
         self._events: dict[int, list[tuple[int, int | None, int]]] = {
             pc: [] for pc in watch_pcs
             if self._code_base <= pc < self._code_end
         }
         self._last_read: dict[int, int] = {}
         self._data_counts: dict[tuple[str, int], int] = {}
-        self._data_addrs = frozenset(data_addrs)
         # r0 reads as zero even right after a corruption (the injector
         # resets it), so tracking it would only add noise.
-        self._tracked_regs = frozenset(tracked_regs) - {0}
         self._reg_events: dict[int, list[tuple[int, bool]]] = {
-            reg: [] for reg in self._tracked_regs
+            reg: [] for reg in frozenset(tracked_regs) - {0}
         }
+        #: (start, index, console length) of the last ``puts``; the walk's
+        #: length is known once the syscall has run.
+        self._puts: tuple[int, int, int] | None = None
 
+        self._install_observers(machine, data_addrs)
         limit = min(budget, cap)
-        status, exit_code, executed = self._run(machine, limit)
-        if status != "exited" and executed >= limit and limit < budget:
+        self.result = machine.run(limit)
+        # The machine waits for the cyclic collector; its observers need not.
+        machine._fetch_watch.clear()
+        self._resolve_puts(machine.console)
+        self.instructions = self.result.instructions
+        status = self.result.status
+        if status != "exited" and self.instructions >= limit and limit < budget:
             self.failure = "trace-cap"
-        console = bytes(machine.console)
-        self.result = RunResult(
-            status=status, exit_code=exit_code, trap=None,
-            instructions=executed, console=console,
-        )
-        self.instructions = executed
-        self.ok = status == "exited" and console == case.expected
+        self.ok = status == "exited" and self.result.console == case.expected
         if not self.ok and self.failure is None:
             self.failure = (
                 "console-mismatch" if status == "exited" else f"golden-{status}"
             )
 
-    # -- the instrumented interpreter loop -----------------------------
+    # -- observers -----------------------------------------------------
 
-    def _run(self, machine, limit: int) -> tuple[str, int | None, int]:
-        """Replay the golden run; returns (status, exit_code, executed)."""
-        core = machine.cores[0]
-        mem = machine.memory
-        read_word = mem.read_word
-        write_word = mem.write_word
-        read_byte = mem.read_byte
-        write_byte = mem.write_byte
-        mem_data = mem.data
-        regs = core.regs
-        code_base = self._code_base
-        code_end = self._code_end
-        code_words = self._code_words
-        decode_cache: list = [None] * len(code_words)
-        syscall = machine.syscalls.dispatch
-        read_ranges, write_ranges = machine.access_ranges()
+    def _install_observers(self, machine, data_addrs: Iterable[int]) -> None:
+        """Install a fetch observer at every pc the prover reads, and a
+        counting data watch on every data-trigger address."""
+        ordinal = itertools.count()
+        base = self._code_base
+        if self._reg_events:
+            pcs = set(range(base, self._code_end, 4))
+        else:
+            # only loads and syscalls read memory (word >> 26 is the opcode)
+            pcs = {base + 4 * index for index, word in enumerate(self._code_words)
+                   if word >> 26 in _READ_OPCODES}
+        for pc in pcs.union(self._events):
+            observer = self._observer_for(pc, ordinal)
+            if observer is not None:
+                machine._fetch_watch[pc] = observer
+        for addr in data_addrs:
+            machine._load_watch[addr] = self._data_counter(("load", addr))
+            machine._store_watch[addr] = self._data_counter(("store", addr))
 
-        exec_count = self._exec_count
-        exec_last = self._exec_last
-        events = self._events
-        last_read = self._last_read
-        data_counts = self._data_counts
-        data_addrs = self._data_addrs
-        tracked = self._tracked_regs
+    def _observer_for(self, pc: int, ordinal):
+        """The fetch handler for *pc*, or None when the prover never reads
+        its execution.  Every call takes the next ordinal."""
+        opcode, rd, ra, rb, imm = decode_fields(
+            self._code_words[(pc - self._code_base) >> 2]
+        )
+        events = self._events.get(pc)
         reg_events = self._reg_events
+        last_read = self._last_read
 
-        pc = core.pc
-        lr = core.lr
-        cr = core.cr
-        idx = 0
-        status = "hung"
-        try:
-            while idx < limit:
-                if pc < code_base or pc >= code_end:
-                    raise MemoryTrap(
-                        f"instruction fetch outside code segment at {pc:#010x}",
-                        address=pc,
-                    )
-                index = (pc - code_base) >> 2
-                exec_count[index] += 1
-                exec_last[index] = idx
-                decoded = decode_cache[index]
-                if decoded is None:
-                    decoded = decode_fields(code_words[index])
-                    decode_cache[index] = decoded
-                opcode, rd, ra, rb, imm = decoded
+        if opcode == OP_LWZ and events is None and not reg_events:
+            # The common case, kept lean: a load the prover needs only
+            # for its read.
+            def observe_load(core, _pc, _word):
+                index = next(ordinal)
+                ea = (core.regs[ra] + imm) & _MASK
+                last_read[ea & ~3] = index
+                if ea & 3:
+                    last_read[(ea + 3) & ~3] = index
+            return observe_load
 
-                if events and pc in events:
-                    if opcode in (OP_LWZ, OP_STW, OP_LBZ, OP_STB):
-                        ea_evt = (regs[ra] + imm) & _MASK
-                    else:
-                        ea_evt = None
-                    events[pc].append((idx, ea_evt, cr))
+        reads = writes = ()
+        if reg_events:
+            reads, writes = _register_accesses(opcode, rd, ra, rb)
+            reads = [reg_events[reg] for reg in reads if reg in reg_events]
+            writes = [reg_events[reg] for reg in writes if reg in reg_events]
+        load = opcode == OP_LWZ or opcode == OP_LBZ
+        syscall = opcode == OP_SC
+        if events is None and not (load or syscall or reads or writes):
+            return None
+        memory_op = opcode in _MEMORY_OPCODES
+        word_load = opcode == OP_LWZ
+        note_syscall = self._note_syscall
 
-                if tracked:
-                    self._note_regs(reg_events, tracked, idx, opcode, rd, ra, rb)
+        def observe(core, _pc, _word):
+            index = next(ordinal)
+            regs = core.regs
+            if events is not None:
+                ea = (regs[ra] + imm) & _MASK if memory_op else None
+                events.append((index, ea, core.cr))
+            if load:
+                ea = (regs[ra] + imm) & _MASK
+                last_read[ea & ~3] = index
+                if word_load and ea & 3:
+                    last_read[(ea + 3) & ~3] = index
+            elif syscall:
+                note_syscall(core, index, imm)
+            for accesses in reads:
+                accesses.append((index, False))
+            for accesses in writes:
+                accesses.append((index, True))
+        return observe
 
-                if opcode == OP_ADDI:
-                    regs[rd] = (regs[ra] + imm) & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_LWZ:
-                    ea = (regs[ra] + imm) & _MASK
-                    last_read[ea & ~3] = idx
-                    if ea & 3:
-                        last_read[(ea + 3) & ~3] = idx
-                    if data_addrs and ea in data_addrs:
-                        key = ("load", ea)
-                        data_counts[key] = data_counts.get(key, 0) + 1
-                    if ea & 3 == 0:
-                        for lo, hi in read_ranges:
-                            if lo <= ea < hi:
-                                value = int.from_bytes(mem_data[ea:ea + 4], "big")
-                                break
-                        else:
-                            value = read_word(ea, pc)
-                    else:
-                        value = read_word(ea, pc)
-                    regs[rd] = value
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_STW:
-                    ea = (regs[ra] + imm) & _MASK
-                    if data_addrs and ea in data_addrs:
-                        key = ("store", ea)
-                        data_counts[key] = data_counts.get(key, 0) + 1
-                    value = regs[rd]
-                    if ea & 3 == 0:
-                        for lo, hi in write_ranges:
-                            if lo <= ea < hi:
-                                mem_data[ea:ea + 4] = value.to_bytes(4, "big")
-                                break
-                        else:
-                            write_word(ea, value, pc)
-                    else:
-                        write_word(ea, value, pc)
-                    pc += 4
-                elif opcode == OP_BC:
-                    if rd == COND_LT:
-                        taken = cr < 0
-                    elif rd == COND_LE:
-                        taken = cr <= 0
-                    elif rd == COND_EQ:
-                        taken = cr == 0
-                    elif rd == COND_GE:
-                        taken = cr >= 0
-                    elif rd == COND_GT:
-                        taken = cr > 0
-                    elif rd == COND_NE:
-                        taken = cr != 0
-                    elif rd == COND_ALWAYS:
-                        taken = True
-                    else:
-                        raise IllegalInstructionTrap(
-                            f"illegal branch condition {rd} at {pc:#010x}"
-                        )
-                    pc = (pc + imm * 4) & _MASK if taken else pc + 4
-                elif opcode == OP_XO:
-                    a = regs[ra]
-                    b = regs[rb]
-                    if imm == XO_ADD:
-                        regs[rd] = (a + b) & _MASK
-                    elif imm == XO_SUB:
-                        regs[rd] = (a - b) & _MASK
-                    elif imm == XO_MUL:
-                        regs[rd] = (a * b) & _MASK
-                    elif imm == XO_CMP:
-                        if a & _SIGN:
-                            a -= 0x100000000
-                        if b & _SIGN:
-                            b -= 0x100000000
-                        cr = -1 if a < b else (1 if a > b else 0)
-                        pc += 4
-                        idx += 1
-                        continue
-                    elif imm == XO_DIVW or imm == XO_MODW:
-                        if a & _SIGN:
-                            a -= 0x100000000
-                        if b & _SIGN:
-                            b -= 0x100000000
-                        if b == 0:
-                            raise ArithmeticTrap(
-                                f"integer division by zero at {pc:#010x}"
-                            )
-                        quotient = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
-                            quotient = -quotient
-                        if imm == XO_DIVW:
-                            regs[rd] = quotient & _MASK
-                        else:
-                            regs[rd] = (a - quotient * b) & _MASK
-                    elif imm == XO_AND:
-                        regs[rd] = a & b
-                    elif imm == XO_OR:
-                        regs[rd] = a | b
-                    elif imm == XO_XOR:
-                        regs[rd] = a ^ b
-                    elif imm == XO_NOR:
-                        regs[rd] = (a | b) ^ _MASK
-                    elif imm == XO_SLW:
-                        regs[rd] = (a << (b & 31)) & _MASK
-                    elif imm == XO_SRW:
-                        regs[rd] = a >> (b & 31)
-                    elif imm == XO_SRAW:
-                        if a & _SIGN:
-                            a -= 0x100000000
-                        regs[rd] = (a >> (b & 31)) & _MASK
-                    elif imm == XO_NEG:
-                        regs[rd] = (-a) & _MASK
-                    elif imm == XO_NOT:
-                        regs[rd] = a ^ _MASK
-                    else:
-                        raise IllegalInstructionTrap(
-                            f"illegal XO sub-opcode {imm:#x} at {pc:#010x}"
-                        )
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_CMPI:
-                    a = regs[ra]
-                    if a & _SIGN:
-                        a -= 0x100000000
-                    cr = -1 if a < imm else (1 if a > imm else 0)
-                    pc += 4
-                elif opcode == OP_B:
-                    pc = (pc + imm * 4) & _MASK
-                elif opcode == OP_BL:
-                    lr = pc + 4
-                    pc = (pc + imm * 4) & _MASK
-                elif opcode == OP_BLR:
-                    pc = lr
-                elif opcode == OP_LBZ:
-                    ea = (regs[ra] + imm) & _MASK
-                    last_read[ea & ~3] = idx
-                    if data_addrs and ea in data_addrs:
-                        key = ("load", ea)
-                        data_counts[key] = data_counts.get(key, 0) + 1
-                    for lo, hi in read_ranges:
-                        if lo <= ea < hi:
-                            value = mem_data[ea]
-                            break
-                    else:
-                        value = read_byte(ea, pc)
-                    regs[rd] = value
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_STB:
-                    ea = (regs[ra] + imm) & _MASK
-                    if data_addrs and ea in data_addrs:
-                        key = ("store", ea)
-                        data_counts[key] = data_counts.get(key, 0) + 1
-                    value = regs[rd]
-                    for lo, hi in write_ranges:
-                        if lo <= ea < hi:
-                            mem_data[ea] = value & 0xFF
-                            break
-                    else:
-                        write_byte(ea, value, pc)
-                    pc += 4
-                elif opcode == OP_ADDIS:
-                    regs[rd] = (regs[ra] + (imm << 16)) & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_MULLI:
-                    regs[rd] = (regs[ra] * imm) & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_ANDI:
-                    regs[rd] = regs[ra] & imm
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_ORI:
-                    regs[rd] = regs[ra] | imm
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_XORI:
-                    regs[rd] = regs[ra] ^ imm
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_CMPLI:
-                    a = regs[ra]
-                    cr = -1 if a < imm else (1 if a > imm else 0)
-                    pc += 4
-                elif opcode == OP_SLWI:
-                    regs[rd] = (regs[ra] << (imm & 31)) & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_SRWI:
-                    regs[rd] = regs[ra] >> (imm & 31)
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_SRAWI:
-                    a = regs[ra]
-                    if a & _SIGN:
-                        a -= 0x100000000
-                    regs[rd] = (a >> (imm & 31)) & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_MFLR:
-                    regs[rd] = lr & _MASK
-                    regs[0] = 0
-                    pc += 4
-                elif opcode == OP_MTLR:
-                    lr = regs[rd]
-                    pc += 4
-                elif opcode == OP_SC:
-                    core.pc = pc
-                    core.cr = cr
-                    core.lr = lr
-                    if imm == SYS_PUTS:
-                        start = regs[3]
-                        before = len(machine.console)
-                        syscall(core, imm)
-                        # puts walked the string plus its NUL terminator:
-                        # every word it touched counts as read here.
-                        n = len(machine.console) - before
-                        for addr in range((start & ~3), ((start + n) & ~3) + 4, 4):
-                            last_read[addr] = idx
-                    else:
-                        syscall(core, imm)
-                    pc += 4
-                    idx += 1
-                    if core.halted or core.blocked:
-                        break
-                    continue
-                elif opcode == OP_TRAP:
-                    raise TrapInstructionHit(
-                        f"trap instruction (code {imm}) at {pc:#010x}"
-                    )
-                else:
-                    raise IllegalInstructionTrap(
-                        f"illegal opcode {opcode:#x} at {pc:#010x}"
-                    )
-                idx += 1
-        except Trap:
-            core.pc = pc
-            core.cr = cr
-            core.lr = lr
-            return "trapped", None, idx + 1
-        core.pc = pc
-        core.cr = cr
-        core.lr = lr
-        core.instret = idx
-        machine.instret = idx
-        if core.halted:
-            return "exited", core.exit_code, idx
-        return "hung", None, idx
+    def _data_counter(self, key: tuple[str, int]):
+        counts = self._data_counts
 
-    @staticmethod
-    def _note_regs(reg_events, tracked, idx, opcode, rd, ra, rb) -> None:
-        """Append (index, is_write) events for tracked registers.
+        def count(_core, _address, value):
+            counts[key] = counts.get(key, 0) + 1
+            return value
+        return count
 
-        Reads are appended before writes, matching within-instruction
-        order.  Conservative on syscalls: r3 is treated as read by every
-        ``sc`` and its result writes are ignored (missing a write can
-        only under-prune, never mis-prune).
+    def _note_syscall(self, core, index: int, number: int) -> None:
+        console = core.machine.console
+        self._resolve_puts(console)
+        if number == SYS_PUTS:
+            self._puts = (core.regs[3], index, len(console))
+
+    def _resolve_puts(self, console) -> None:
+        """Mark the words the last ``puts`` walked as read at its index.
+
+        Called at the next ``sc`` and at run end: only a syscall writes
+        the console, so by then it holds exactly the walked string.  The
+        walk also read the NUL terminator.
         """
-        reads: tuple[int, ...]
-        writes: tuple[int, ...]
-        if opcode in _ALU_IMM_OPCODES:
-            reads, writes = (ra,), (rd,)
-        elif opcode == OP_LWZ or opcode == OP_LBZ:
-            reads, writes = (ra,), (rd,)
-        elif opcode == OP_STW or opcode == OP_STB:
-            reads, writes = (ra, rd), ()
-        elif opcode == OP_XO:
-            # all XO forms read ra; NEG/NOT ignore rb but counting an
-            # extra read is conservative-safe (it can only under-prune)
-            reads, writes = (ra, rb), (rd,)
-        elif opcode == OP_CMPI or opcode == OP_CMPLI:
-            reads, writes = (ra,), ()
-        elif opcode == OP_MFLR:
-            reads, writes = (), (rd,)
-        elif opcode == OP_MTLR:
-            reads, writes = (rd,), ()
-        elif opcode == OP_SC:
-            reads, writes = (3,), ()
-        else:  # branches, trap
-            reads, writes = (), ()
-        for reg in reads:
-            if reg in tracked:
-                reg_events[reg].append((idx, False))
-        for reg in writes:
-            if reg in tracked:
-                reg_events[reg].append((idx, True))
+        if self._puts is None:
+            return
+        start, index, before = self._puts
+        self._puts = None
+        last_read = self._last_read
+        end = start + len(console) - before
+        for addr in range(start & ~3, (end & ~3) + 4, 4):
+            # loads after the puts already recorded later indices
+            if last_read.get(addr, -1) < index:
+                last_read[addr] = index
 
     # -- prover accessors ----------------------------------------------
 
@@ -556,21 +315,26 @@ class GoldenAccessTrace:
             return None
         return (pc - self._code_base) >> 2
 
-    def exec_count_at(self, pc: int) -> int:
-        index = self._index_of(pc)
-        return 0 if index is None else self._exec_count[index]
+    def exec_count_at(self, pc: int) -> int | None:
+        """Fetches of *pc*; None when the trace did not watch it."""
+        if pc < self._code_base or pc >= self._code_end:
+            return 0  # a fetch there traps: never in a clean golden run
+        events = self._events.get(pc)
+        return None if events is None else len(events)
 
-    def last_exec_at(self, pc: int) -> int:
-        """Last instruction index that fetched *pc*, or -1."""
-        index = self._index_of(pc)
-        return -1 if index is None else self._exec_last[index]
+    def last_exec_at(self, pc: int) -> int | None:
+        """Index of the last fetch of *pc*, or -1; None when not watched."""
+        count = self.exec_count_at(pc)
+        if count is None:
+            return None
+        return self._events[pc][-1][0] if count else -1
 
     def events_at(self, pc: int) -> list[tuple[int, int | None, int]]:
         """Per-activation (index, effective address, cr) for a watched pc."""
         return self._events.get(pc, [])
 
     def last_read_at(self, word_addr: int) -> int:
-        """Last instruction index that read any byte of the word, or -1."""
+        """Index of the last read of any byte of the word, or -1."""
         return self._last_read.get(word_addr & ~3, -1)
 
     def data_access_count(self, addr: int, *, on_load: bool, on_store: bool) -> int:
@@ -582,7 +346,8 @@ class GoldenAccessTrace:
         return count
 
     def reg_events_at(self, reg: int) -> list[tuple[int, bool]] | None:
-        """(index, is_write) events for *reg*; None when it wasn't tracked.
+        """(index, is_write) events for *reg*, reads of one instruction
+        before its writes; None when it wasn't tracked.
 
         An empty list is a real answer (tracked, never accessed); None
         means the trace cannot say and the caller must decline.

@@ -83,8 +83,10 @@ class CampaignConfig:
       them back with ``repro trace report``;
     * ``engine`` — the machine's execution engine: ``"simple"`` is the
       per-instruction interpreter, ``"block"`` the block-compiling engine
-      (:mod:`repro.machine.blocks`), which is faster and falls back to
-      the interpreter around every fault-injection hook;
+      and ``"trace"`` the block engine plus superblock traces over hot
+      paths (:mod:`repro.machine.blocks`); both compiled engines are
+      faster and fall back to the interpreter around every
+      fault-injection hook;
     * ``prune``/``memoize`` — the campaign planner
       (:mod:`repro.planning`): ``prune`` statically synthesizes records
       for provably dormant / invisible faults without booting a machine,

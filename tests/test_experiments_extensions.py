@@ -53,8 +53,12 @@ class TestProbe:
 
 
 class TestExposure:
-    def test_exposure_rows_for_emulable_faults(self):
-        result = run_exposure(ExperimentConfig.tiny())
+    @pytest.fixture(scope="class")
+    def result(self):
+        """The tiny exposure driver, run once for the whole class."""
+        return run_exposure(ExperimentConfig.tiny())
+
+    def test_exposure_rows_for_emulable_faults(self, result):
         fault_ids = {row.fault_id for row in result.rows}
         # The three faults with a single machine anchor.
         assert fault_ids == {"C.team1", "C.team4", "JB.team6"}
@@ -63,8 +67,7 @@ class TestExposure:
             assert row.p_fail <= row.p1 + 1e-9
             assert row.p2_p3 <= 1.0
 
-    def test_render(self):
-        result = run_exposure(ExperimentConfig.tiny())
+    def test_render(self, result):
         text = result.render()
         assert "p1" in text and "p2*p3" in text
 

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.isa import NOP_WORD, decode
 from repro.lang import compile_source
 from repro.machine import HEAP_BASE, PAGE_SIZE, STACK_REGION, STACK_SIZE, boot
 from repro.planning import (
@@ -32,7 +33,10 @@ from repro.planning import (
 from repro.planning import digest as _digest
 from repro.planning import planner as _planner
 from repro.planning.prover import (
+    RULE_BRANCH_EQUIV,
+    RULE_DEAD_REGISTER,
     RULE_DEAD_STORE,
+    RULE_DEAD_WORD,
     RULE_DORMANT,
     RULE_IDENTITY,
 )
@@ -42,12 +46,14 @@ from repro.swifi import (
     BitFlip,
     CampaignConfig,
     CampaignRunner,
+    CodeWord,
     DataAccess,
     MachineFault,
     FetchedWord,
     InputCase,
     OpcodeFetch,
     RegisterTarget,
+    SetValue,
     StoreValue,
     Temporal,
     WhenPolicy,
@@ -74,6 +80,49 @@ def dead_store_program():
     compiled = compile_source(DEAD_STORE_SOURCE, "deadstore")
     case = InputCase("a", {"in_x": 4}, b"6")
     return compiled, case
+
+
+# Two straight-line stores to globals and a branch that in_x decides:
+# `a` is stored once before `b`'s store, the bc runs once after it.
+WORDS_SOURCE = (
+    "int in_x;\n"
+    "int a;\n"
+    "int b;\n"
+    "void main() {\n"
+    "    a = in_x + 1;\n"
+    "    b = in_x + 2;\n"
+    "    if (in_x > 100) { a = 7; }\n"
+    "    print_int(a + b);\n"
+    "    exit(0);\n"
+    "}\n"
+)
+
+# A char array read only by the puts walk: msg[0] is printed after its
+# store, msg[2] is stored after the only print.
+PUTS_SOURCE = (
+    "char msg[8];\n"
+    "void main() {\n"
+    "    msg[0] = 'h';\n"
+    "    msg[1] = 'i';\n"
+    "    print_str(msg);\n"
+    "    msg[2] = '!';\n"
+    "    exit(0);\n"
+    "}\n"
+)
+
+
+@pytest.fixture(scope="module")
+def words_program():
+    compiled = compile_source(WORDS_SOURCE, "words")
+    cases = (InputCase("small", {"in_x": 4}, b"11"),
+             InputCase("large", {"in_x": 200}, b"209"))
+    return compiled, cases
+
+
+@pytest.fixture(scope="module")
+def puts_program():
+    compiled = compile_source(PUTS_SOURCE, "puts")
+    return compiled, InputCase("a", {}, b"hi")
 
 
 def _trace(compiled, case, faults, budget=100_000):
@@ -210,6 +259,112 @@ class TestDormancyProver:
             assert synthesized == real, spec.fault_id
             assert synthesized.provenance == "pruned"
             assert real.provenance == "executed"
+
+
+def _assert_pruned_as_executed(compiled, case, spec, trace, rule):
+    """*spec* is pruned by *rule*, and its synthesized record is the one a
+    real injection run produces."""
+    decision = classify_fault(spec, trace)
+    assert decision.prune, (spec.fault_id, decision.reason)
+    assert decision.rule == rule
+    real = execute_injection_run(compiled.executable, spec, case,
+                                 budget=100_000)
+    assert synthesize_record(spec, case, trace, decision) == real
+
+
+def _word_at(compiled, address):
+    offset = address - compiled.executable.code_base
+    return int.from_bytes(compiled.executable.code[offset:offset + 4], "big")
+
+
+def _declined(spec, trace):
+    decision = classify_fault(spec, trace)
+    assert not decision.prune, spec.fault_id
+    return decision.reason
+
+
+class TestObservedFacts:
+    """Each rule on a program crafted so that the trace must observe the
+    fact the rule reads: a corrupted word's last fetch, the condition
+    register at a branch, a tracked register's accesses, the ``puts``
+    walk, and the instruction cap."""
+
+    def test_dead_word_vs_live_word(self, words_program):
+        compiled, (case, _) = words_program
+        store_a, store_b = compiled.debug.assignments[:2]
+        (check,) = compiled.debug.checks
+        trigger = OpcodeFetch(store_b.address)
+        # a's store is fetched once, before the injection at b's store;
+        # the branch is fetched after it.
+        dead = _spec("dead-word", trigger,
+                     Action(CodeWord(store_a.address), BitFlip(1)))
+        live = _spec("live-word", trigger,
+                     Action(CodeWord(check.address), BitFlip(1)))
+        trace = _trace(compiled, case, [dead, live])
+        _assert_pruned_as_executed(compiled, case, dead, trace, RULE_DEAD_WORD)
+        assert _declined(live, trace) == "live-word"
+
+    def test_nop_of_a_never_taken_branch_is_equivalent(self, words_program):
+        compiled, (small, large) = words_program
+        (check,) = compiled.debug.checks
+        spec = _spec("nop-bc", OpcodeFetch(check.address),
+                     Action(FetchedWord(), SetValue(NOP_WORD)))
+        trace = _trace(compiled, small, [spec])
+        _assert_pruned_as_executed(compiled, small, spec, trace,
+                                   RULE_BRANCH_EQUIV)
+        # in_x > 100 takes the branch: the NOP changes the path
+        assert _declined(spec, _trace(compiled, large, [spec])) == "opaque-word"
+
+    def test_dead_register_vs_live_register(self, words_program):
+        compiled, (case, _) = words_program
+        store_a = compiled.debug.assignments[0]
+        stored = decode(_word_at(compiled, store_a.address)).rd
+        after = decode(_word_at(compiled, store_a.address + 4))
+        # the instruction after a's store overwrites a register without
+        # reading it (an addis from r0 at O0)
+        assert after.mnemonic == "addis" and after.ra == 0 and after.rd != 0
+        dead = _spec("dead-reg", OpcodeFetch(store_a.address + 4),
+                     Action(RegisterTarget(after.rd), Arithmetic(1)))
+        live = _spec("live-reg", OpcodeFetch(store_a.address),
+                     Action(RegisterTarget(stored), Arithmetic(1)))
+        trace = _trace(compiled, case, [dead, live])
+        _assert_pruned_as_executed(compiled, case, dead, trace,
+                                   RULE_DEAD_REGISTER)
+        assert _declined(live, trace) == "live-register"
+
+    def test_puts_walk_decides_live_and_dead_stores(self, puts_program):
+        compiled, case = puts_program
+        first, _, after_print = compiled.debug.assignments[:3]
+        printed = _spec("printed", OpcodeFetch(first.address),
+                        Action(StoreValue(), Arithmetic(1)))
+        unprinted = _spec("unprinted", OpcodeFetch(after_print.address),
+                          Action(StoreValue(), Arithmetic(1)))
+        trace = _trace(compiled, case, [printed, unprinted])
+        assert _declined(printed, trace) == "live-store"
+        _assert_pruned_as_executed(compiled, case, unprinted, trace,
+                                   RULE_DEAD_STORE)
+
+    def test_trace_cap_declines_every_fault(self, monkeypatch,
+                                            dead_store_program):
+        compiled, case = dead_store_program
+        dead_site = compiled.debug.assignments[0]
+        specs = [
+            _spec("late", Temporal(10_000_000),
+                  Action(StoreValue(), Arithmetic(1))),
+            _spec("dead", OpcodeFetch(dead_site.address),
+                  Action(StoreValue(), Arithmetic(1))),
+            _spec("data", DataAccess(0x7FF0),
+                  Action(StoreValue(), Arithmetic(1))),
+        ]
+        golden = _trace(compiled, case, specs)
+        assert golden.ok and all(classify_fault(s, golden).prune for s in specs)
+
+        monkeypatch.setenv("REPRO_PLAN_TRACE_CAP", str(golden.instructions - 1))
+        capped = _trace(compiled, case, specs)
+        assert not capped.ok and capped.failure == "trace-cap"
+        assert capped.instructions == golden.instructions - 1
+        for spec in specs:
+            assert _declined(spec, capped) == "trace-cap"
 
 
 class TestOutcomeMemo:
