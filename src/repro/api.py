@@ -132,6 +132,8 @@ from .srcfi import (
     run_source_campaign,
 )
 from .swifi import (
+    CAMPAIGN_ENGINES,
+    ENGINE_AUTO,
     ENGINE_BLOCK,
     ENGINE_SIMPLE,
     ENGINE_TRACE,
@@ -260,6 +262,8 @@ __all__ = [
     "InputCase",
     "RunRecord",
     "RESULT_SCHEMA_VERSION",
+    "CAMPAIGN_ENGINES",
+    "ENGINE_AUTO",
     "ENGINE_BLOCK",
     "ENGINE_SIMPLE",
     "ENGINE_TRACE",

@@ -57,6 +57,18 @@ from .experiments import (
     run_table4,
     run_trigger_ablation,
 )
+from .machine.machine import CAMPAIGN_ENGINES
+from .swifi.campaign import CampaignConfig
+
+
+def _add_engine_flag(parser, help_text: str = "machine execution engine") -> None:
+    """``--engine`` with ``CampaignConfig``'s default, for every campaign command."""
+    parser.add_argument(
+        "--engine", choices=CAMPAIGN_ENGINES, default=CampaignConfig.engine,
+        help=f"{help_text}; 'auto' (default) runs single-core programs on "
+             "'trace' and multi-core ones on 'simple' (records are "
+             "bit-identical on every engine)",
+    )
 
 
 def _positive_int(text: str) -> int:
@@ -267,7 +279,7 @@ def _cmd_ablation_triggers(args):
         return exit_code
     print(run_trigger_ablation(_config(args), jobs=getattr(args, "jobs", 1),
                                snapshot=getattr(args, "snapshot", "off"),
-                               engine=getattr(args, "engine", "simple")).render())
+                               engine=args.engine).render())
 
 
 def _cmd_ablation_hardware(args):
@@ -276,7 +288,7 @@ def _cmd_ablation_hardware(args):
         return exit_code
     print(run_hardware_comparison(_config(args), jobs=getattr(args, "jobs", 1),
                                   snapshot=getattr(args, "snapshot", "off"),
-                                  engine=getattr(args, "engine", "simple")).render())
+                                  engine=args.engine).render())
 
 
 def _cmd_plan_report(args):
@@ -651,11 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "trigger instead of rebooting per run (auto), "
                               "or cross-check both paths (verify); outcomes "
                               "are bit-identical to off")
-    figures.add_argument("--engine", choices=("simple", "block", "trace"),
-                         default="simple",
-                         help="machine execution engine: 'block' compiles "
-                              "straight-line RX32 runs into Python closures "
-                              "(~2.3x faster, bit-identical results)")
+    _add_engine_flag(figures, "machine execution engine: 'block' compiles "
+                     "basic blocks into Python closures, 'trace' also "
+                     "stitches hot paths into superblocks")
     figures.add_argument("--trace", action="store_true",
                          help="record per-run span traces (phase timings, "
                               "snapshot fast-path accounting) into the journal "
@@ -730,16 +740,14 @@ def build_parser() -> argparse.ArgumentParser:
     triggers.add_argument("--jobs", type=_positive_int, default=1)
     triggers.add_argument("--snapshot", choices=("off", "auto", "verify"),
                           default="off")
-    triggers.add_argument("--engine", choices=("simple", "block", "trace"),
-                          default="simple")
+    _add_engine_flag(triggers)
     triggers.set_defaults(fn=_cmd_ablation_triggers)
     hardware = sub.add_parser("ablation-hardware", parents=[shared],
                               help="A3: software vs random hardware faults")
     hardware.add_argument("--jobs", type=_positive_int, default=1)
     hardware.add_argument("--snapshot", choices=("off", "auto", "verify"),
                           default="off")
-    hardware.add_argument("--engine", choices=("simple", "block", "trace"),
-                          default="simple")
+    _add_engine_flag(hardware)
     hardware.set_defaults(fn=_cmd_ablation_hardware)
 
     disasm = sub.add_parser("disasm", parents=[shared], help="disassemble a workload program")
@@ -859,9 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcfi_campaign.add_argument("--trace", action="store_true",
                                 help="machine tier: record per-run span traces "
                                      "(accepted no-op at the source tier)")
-    srcfi_campaign.add_argument("--engine", choices=("simple", "block", "trace"),
-                                default="simple",
-                                help="machine execution engine")
+    _add_engine_flag(srcfi_campaign)
     srcfi_campaign.add_argument("--tier", choices=("machine", "source"),
                                 default="source",
                                 help="injection tier (default source)")
@@ -890,9 +896,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcfi_compare.add_argument("--trace", action="store_true",
                                help="accepted for flag uniformity; the pair "
                                     "runner records no span traces")
-    srcfi_compare.add_argument("--engine", choices=("simple", "block", "trace"),
-                               default="simple",
-                               help="machine execution engine for both tiers")
+    _add_engine_flag(srcfi_compare, "machine execution engine for both tiers")
     srcfi_compare.add_argument("--out", default=None, metavar="DIR",
                                help="additionally write srcfi_agreement.json "
                                     "and srcfi_agreement.txt into this "
@@ -963,9 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--shard-size", type=_positive_int, default=None,
                         help="runs per shard (default: matrix split across "
                              "the expected worker count)")
-    submit.add_argument("--engine", choices=("simple", "block", "trace"),
-                        default="simple",
-                        help="machine execution engine used by the workers")
+    _add_engine_flag(submit, "machine execution engine used by the workers")
     submit.add_argument("--snapshot", choices=("off", "auto", "verify"),
                         default="off",
                         help="golden-run snapshot policy used by the workers")

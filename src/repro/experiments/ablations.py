@@ -36,7 +36,6 @@ from ..emulation.operators import ASSIGNMENT_CLASS, CHECKING_CLASS
 from ..emulation.rules import generate_error_set
 from ..metrics.guidance import STRATEGIES, allocation_table
 from ..swifi.campaign import (
-    ENGINE_SIMPLE,
     SNAPSHOT_OFF,
     CampaignConfig,
     CampaignRunner,
@@ -150,7 +149,7 @@ def run_trigger_ablation(
     nth: int = 40,
     jobs: int = 1,
     snapshot: str = SNAPSHOT_OFF,
-    engine: str = ENGINE_SIMPLE,
+    engine: str = CampaignConfig.engine,
 ) -> TriggerAblationResult:
     """Re-run one error set under different When policies."""
     config = config or ExperimentConfig()
@@ -228,7 +227,7 @@ def run_hardware_comparison(
     hardware_faults: int = 24,
     jobs: int = 1,
     snapshot: str = SNAPSHOT_OFF,
-    engine: str = ENGINE_SIMPLE,
+    engine: str = CampaignConfig.engine,
 ) -> HardwareComparisonResult:
     """Run §6.3 software error sets and a random hardware population
     against the same program and inputs."""

@@ -23,7 +23,6 @@ from ..emulation.operators import ASSIGNMENT_CLASS, CHECKING_CLASS
 from ..emulation.rules import generate_error_set
 from ..persist import atomic_write_json
 from ..swifi.campaign import (
-    ENGINE_SIMPLE,
     SNAPSHOT_OFF,
     CampaignConfig,
     CampaignRunner,
@@ -165,7 +164,7 @@ def run_section6(
     telemetry=None,
     snapshot: str = SNAPSHOT_OFF,
     trace: bool = False,
-    engine: str = ENGINE_SIMPLE,
+    engine: str = CampaignConfig.engine,
     prune: bool = False,
     memoize: bool = False,
     memo_dir: str | None = None,
@@ -186,8 +185,9 @@ def run_section6(
     ``trace`` records per-run span traces into each campaign's journal
     and telemetry (``repro trace report <journal_dir>`` reads them back).
     ``engine`` picks the machine execution engine (simple / block /
-    trace); the compiled engines are faster but bit-identical, so
-    figures never change.
+    trace); the default ``"auto"`` runs each single-core program on
+    trace and the multi-core SOR on simple.  The compiled engines are
+    faster but bit-identical, so figures never change.
     ``prune``/``memoize``/``memo_dir``/``plan_verify`` drive the campaign
     planner (:mod:`repro.planning`): statically pruned and memoized runs
     synthesize their records without booting, bit-identical by

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from ..analysis.tables import render_table
 from ..emulation.realfaults import NotEmulableError, SiteNotFound
 from ..machine.loader import boot
+from ..machine.machine import ENGINE_AUTO, resolve_engine
 from ..swifi.faults import probe
 from ..swifi.injector import InjectionSession
 from ..workloads import get_workload, real_faults
@@ -120,6 +121,7 @@ def run_exposure(config: ExperimentConfig | None = None) -> ExposureResult:
             else max(50, config.table1_runs_jamesb // 2)
         )
         rng = random.Random(config.seed + 41)
+        engine = resolve_engine(ENGINE_AUTO, workload.num_cores)
         executed = failures = 0
         activations_total = 0
         for _ in range(runs):
@@ -127,7 +129,7 @@ def run_exposure(config: ExperimentConfig | None = None) -> ExposureResult:
             expected = workload.oracle(pokes)
             # p1: probe the corrected binary (unperturbed semantics).
             machine = boot(corrected.executable, num_cores=workload.num_cores,
-                           inputs=pokes)
+                           inputs=pokes, engine=engine)
             session = InjectionSession(machine)
             session.arm(probe("site", address))
             outcome = session.run(100_000_000)
@@ -138,7 +140,7 @@ def run_exposure(config: ExperimentConfig | None = None) -> ExposureResult:
             assert outcome.console == expected  # the probe must not perturb
             # p(fail): the faulty binary on the same input.
             machine = boot(faulty.executable, num_cores=workload.num_cores,
-                           inputs=pokes)
+                           inputs=pokes, engine=engine)
             outcome = machine.run(100_000_000)
             if outcome.status != "exited" or outcome.console != expected:
                 failures += 1

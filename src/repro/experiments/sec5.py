@@ -26,6 +26,7 @@ from ..analysis.tables import render_table
 from ..emulation.realfaults import NotEmulableError, RealFault
 from ..machine.debug import DebugResourceError
 from ..machine.loader import boot
+from ..machine.machine import ENGINE_AUTO, resolve_engine
 from ..odc.field_data import FIELD_DISTRIBUTION, non_emulable_share
 from ..odc.defect_types import DefectType
 from ..swifi.injector import InjectionSession
@@ -109,13 +110,16 @@ def _emulation_accuracy(fault: RealFault, mode: str, inputs: int, seed: int) -> 
     faulty = workload.compiled_faulty()
     specs = fault.build_emulation(corrected, mode=mode)
     rng = random.Random(seed)
+    engine = resolve_engine(ENGINE_AUTO, workload.num_cores)
     matches = 0
     for _ in range(inputs):
         pokes = workload.generate_pokes(rng)
-        faulty_machine = boot(faulty.executable, num_cores=workload.num_cores, inputs=pokes)
+        faulty_machine = boot(faulty.executable, num_cores=workload.num_cores,
+                              inputs=pokes, engine=engine)
         faulty_run = faulty_machine.run(max_instructions=100_000_000)
         emulated_machine = boot(
-            corrected.executable, num_cores=workload.num_cores, inputs=pokes
+            corrected.executable, num_cores=workload.num_cores, inputs=pokes,
+            engine=engine,
         )
         session = InjectionSession(emulated_machine)
         session.arm_all(specs)

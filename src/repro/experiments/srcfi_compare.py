@@ -42,7 +42,8 @@ from ..srcfi import (
     SourceLocator,
     realize_source_fault,
 )
-from ..swifi.campaign import CampaignRunner, InputCase
+from ..machine.machine import resolve_engine
+from ..swifi.campaign import CampaignConfig, CampaignRunner, InputCase
 from ..swifi.injector import InjectionSession
 from ..swifi.outcomes import FailureMode, classify
 from ..workloads import get_workload, real_faults, table2_workloads
@@ -270,18 +271,18 @@ def _compare_pair(compiled, fault, cases, budgets, cache, *,
 _WORKER: dict | None = None
 
 
-def _worker_init(workloads: dict, engine: str) -> None:
+def _worker_init(workloads: dict) -> None:
     global _WORKER
-    _WORKER = {"workloads": workloads, "engine": engine, "cache": MutantCache()}
+    _WORKER = {"workloads": workloads, "cache": MutantCache()}
 
 
 def _worker_pair(payload: tuple) -> list[PairOutcome]:
     program, fault = payload
     assert _WORKER is not None
-    compiled, cases, budgets, num_cores = _WORKER["workloads"][program]
+    compiled, cases, budgets, num_cores, engine = _WORKER["workloads"][program]
     return _compare_pair(
         compiled, fault, cases, budgets, _WORKER["cache"],
-        num_cores=num_cores, engine=_WORKER["engine"],
+        num_cores=num_cores, engine=engine,
     )
 
 
@@ -350,7 +351,7 @@ def run_srcfi_compare(
     journal_dir: str | None = None,
     resume: bool = False,
     trace: bool = False,
-    engine: str = "simple",
+    engine: str = CampaignConfig.engine,
     progress=None,
 ) -> CompareReport:
     """Run the two-tier comparison.
@@ -378,10 +379,11 @@ def run_srcfi_compare(
             compiled, cases, num_cores=workload.num_cores,
             budget_factor=config.budget_factor,
         )
-        runner.engine = engine
+        runner.engine = resolve_engine(engine, workload.num_cores)
         runner.calibrate()
         workload_state[workload.name] = (
-            compiled, cases, dict(runner.budgets), workload.num_cores
+            compiled, cases, dict(runner.budgets), workload.num_cores,
+            runner.engine,
         )
         locator = SourceLocator(compiled)
         for fault in locator.source_faults(max_sites_per_operator=max_sites):
@@ -436,16 +438,18 @@ def run_srcfi_compare(
             cache = MutantCache()
             for item in todo:
                 program, fault = item
-                compiled, cases, budgets, num_cores = workload_state[program]
+                compiled, cases, budgets, num_cores, resolved = (
+                    workload_state[program]
+                )
                 consume(item, _compare_pair(
                     compiled, fault, cases, budgets, cache,
-                    num_cores=num_cores, engine=engine,
+                    num_cores=num_cores, engine=resolved,
                 ))
         else:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(todo)),
                 initializer=_worker_init,
-                initargs=(workload_state, engine),
+                initargs=(workload_state,),
             ) as pool:
                 for item, outcomes in zip(todo, pool.map(_worker_pair, todo)):
                     consume(item, outcomes)

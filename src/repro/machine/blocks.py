@@ -9,9 +9,11 @@ module trades a one-time compilation cost for straight-line execution:
   — runs of straight-line instructions terminated by a branch
   (``b``/``bl``/``blr``/``bc``), cut before ``sc``/``trap`` and before
   any PC carrying a fetch watch;
-* each block is compiled **once** into a specialized Python closure:
-  operands are baked in as constants, registers live in Python locals
-  for the duration of the block, branch targets and trap messages are
+* a block's first entry runs in the interpreter; its second compiles it
+  **once** into a specialized Python closure (most blocks of a short
+  run are entered only once and never pay for codegen): operands are
+  baked in as constants, registers live in Python locals for the
+  duration of the block, branch targets and trap messages are
   precomputed, and ``regs``/``mem_data``/access-range checks are
   captured in the closure;
 * the dispatch loop executes block-at-a-time from a cache keyed by the
@@ -966,23 +968,42 @@ def _hash_code(h, code) -> None:
             h.update(repr(const).encode("utf-8", "replace"))
 
 
+def _emitter_codes() -> tuple:
+    """``(name, code object)`` of every code generator, in hashing order."""
+    codes = []
+    for cls in (_Emitter, _TraceEmitter):
+        for name in sorted(vars(cls)):
+            code = getattr(vars(cls)[name], "__code__", None)
+            if code is not None:
+                codes.append((name, code))
+    for fn in (_generate_source, _generate_trace_source):
+        codes.append((None, fn.__code__))
+    return tuple(codes)
+
+
+#: ``(_emitter_codes(), digest)`` of the last fingerprint computed.
+_FINGERPRINT: tuple = ((), "")
+
+
 def _emitter_fingerprint() -> str:
     """Content hash of the code generators themselves.
 
     Folded into every disk key so that editing (or monkeypatching — the
     differential fuzzer's mutation tests do) any emitter invalidates
-    stale on-disk entries instead of silently serving old code.
+    stale on-disk entries instead of silently serving old code.  Hashing
+    is recomputed only when a generator's code object changed since the
+    last call.
     """
-    h = hashlib.sha256()
-    for cls in (_Emitter, _TraceEmitter):
-        for name in sorted(vars(cls)):
-            code = getattr(vars(cls)[name], "__code__", None)
-            if code is not None:
+    global _FINGERPRINT
+    codes = _emitter_codes()
+    if codes != _FINGERPRINT[0]:
+        h = hashlib.sha256()
+        for name, code in codes:
+            if name is not None:
                 h.update(name.encode())
-                _hash_code(h, code)
-    for fn in (_generate_source, _generate_trace_source):
-        _hash_code(h, fn.__code__)
-    return h.hexdigest()
+            _hash_code(h, code)
+        _FINGERPRINT = (codes, h.hexdigest())
+    return _FINGERPRINT[1]
 
 
 def _disk_load(digest: str):
@@ -1011,7 +1032,7 @@ def _disk_load(digest: str):
         return None
 
 
-def _disk_store(digest: str, source: str, code) -> None:
+def _disk_store(digest: str, source: str, marshalled: bytes) -> None:
     """Persist emitted source + marshalled code object, atomically.
 
     Failures only cost the cache (never correctness); a full directory
@@ -1032,7 +1053,7 @@ def _disk_store(digest: str, source: str, code) -> None:
         if count >= _DISK_CACHE_LIMIT:
             return
         os.makedirs(directory, exist_ok=True)
-        blob = importlib.util.MAGIC_NUMBER + marshal.dumps(code)
+        blob = importlib.util.MAGIC_NUMBER + marshalled
         for name, data in (
             (digest + ".py", source.encode("utf-8")),
             (digest + ".bin", blob),
@@ -1062,8 +1083,12 @@ def _load_factory(kind: str, key, filename: str, generate):
     code = _disk_load(digest)
     if code is None:
         source = generate()
-        code = compile(source, filename, "exec")
-        _disk_store(digest, source, code)
+        marshalled = marshal.dumps(compile(source, filename, "exec"))
+        _disk_store(digest, source, marshalled)
+        # Run the unmarshalled copy, as a disk hit does: marshalling
+        # leaves a second copy of every code object's bytecode cached on
+        # the compiled original.
+        code = marshal.loads(marshalled)
     namespace: dict = {}
     exec(code, namespace)
     factory = namespace["factory"]
@@ -1105,7 +1130,9 @@ class BlockEngine:
         self.machine = machine
         #: entry pc → (instruction count, run closure); count 0 marks a PC
         #: the dispatcher must single-step (sc / trap / illegal / a fetch
-        #: watch on the entry itself, so the hot loop needs no watch check).
+        #: watch on the entry itself, so the hot loop needs no watch check)
+        #: and a ``None`` closure a block entered once, which the
+        #: interpreter runs.
         self.blocks: dict[int, tuple] = {}
         self._gen_key: tuple | None = None
         self._watch_keys: frozenset[int] = frozenset()
@@ -1170,17 +1197,18 @@ class BlockEngine:
                 break
         return decoded
 
-    def _compile(self, entry_pc: int) -> tuple:
+    def _enter(self, entry_pc: int) -> tuple:
+        """First entry at *entry_pc*: scan its block, compile nothing yet."""
+        count = len(self._scan_block(entry_pc))
+        entry = (count, None) if count else _UNCOMPILED
+        self.blocks[entry_pc] = entry
+        return entry
+
+    def _compile(self, entry_pc: int, count: int) -> tuple:
         machine = self.machine
-        words = machine.code_words
-        code_base = machine.code_base
-        index = (entry_pc - code_base) >> 2
-        decoded = self._scan_block(entry_pc)
-        if not decoded:
-            self.blocks[entry_pc] = _UNCOMPILED
-            return _UNCOMPILED
+        index = (entry_pc - machine.code_base) >> 2
         with _trace.phase(_trace.PHASE_BLOCK_COMPILE):
-            factory = _factory_for(tuple(words[index : index + len(decoded)]))
+            factory = _factory_for(tuple(machine.code_words[index : index + count]))
             memory = machine.memory
             read_ranges, write_ranges = machine.access_ranges()
             run = factory(
@@ -1198,7 +1226,7 @@ class BlockEngine:
                 ArithmeticTrap,
                 Trap,
             )
-        entry = (len(decoded), run)
+        entry = (count, run)
         self.blocks[entry_pc] = entry
         self.compiled += 1
         _trace.add_counter("blocks_compiled", 1)
@@ -1268,8 +1296,10 @@ class BlockEngine:
                             return executed
                         pc = core.pc  # pragma: no cover
                         continue  # pragma: no cover
-                    entry = self._compile(pc)
-                count = entry[0]
+                    entry = self._enter(pc)
+                elif entry[1] is None and entry[0]:
+                    entry = self._compile(pc, entry[0])  # second entry
+                count, run = entry
                 if count == 0:
                     # sc / trap / illegal word / fetch watch on this PC:
                     # one interpreted step runs it (applying any watch
@@ -1287,19 +1317,21 @@ class BlockEngine:
                     check_hooks = True
                     pc = core.pc
                     continue
-                if count > limit - executed:
-                    # The block would overrun the quantum / pause budget:
-                    # the interpreter finishes the partial slice exactly.
+                if run is None or count > limit - executed:
+                    # A block's first entry (its second compiles it, so
+                    # a block entered once costs no codegen), or one that
+                    # would overrun the quantum / pause budget: the
+                    # interpreter runs it, or the partial slice, exactly.
                     core.pc = pc
                     core.instret += pending
                     machine.instret += pending
                     pending = 0
-                    executed += simple(limit - executed)
+                    executed += simple(min(count, limit - executed))
                     if core.halted or core.blocked:
                         return executed
                     pc = core.pc
                     continue
-                pc = entry[1](core, regs)
+                pc = run(core, regs)
                 pending += count
                 executed += count
             core.pc = pc
@@ -1558,8 +1590,10 @@ class TraceEngine(BlockEngine):
                             return executed
                         pc = core.pc  # pragma: no cover
                         continue  # pragma: no cover
-                    entry = self._compile(pc)
-                count = entry[0]
+                    entry = self._enter(pc)
+                elif entry[1] is None and entry[0]:
+                    entry = self._compile(pc, entry[0])  # second entry
+                count, run = entry
                 if count == 0:
                     core.pc = pc
                     core.instret += pending
@@ -1584,9 +1618,20 @@ class TraceEngine(BlockEngine):
                         return executed
                     pc = core.pc
                     continue
-                new_pc = entry[1](core, regs)
-                pending += count
-                executed += count
+                if run is None:
+                    # First entry: the interpreter runs the block (no
+                    # sc inside, so the core cannot halt or block), and
+                    # the entry still counts toward trace formation.
+                    core.pc = pc
+                    core.instret += pending
+                    machine.instret += pending
+                    pending = 0
+                    executed += simple(count)
+                    new_pc = core.pc
+                else:
+                    new_pc = run(core, regs)
+                    pending += count
+                    executed += count
                 # -- warmup profiling (drives superblock formation) ----
                 stats = prof.get(pc)
                 if stats is None:

@@ -47,6 +47,23 @@ ENGINE_SIMPLE = "simple"
 ENGINE_BLOCK = "block"
 ENGINE_TRACE = "trace"
 ENGINES = (ENGINE_SIMPLE, ENGINE_BLOCK, ENGINE_TRACE)
+# Campaign-level choice (never a Machine's): see resolve_engine.
+ENGINE_AUTO = "auto"
+CAMPAIGN_ENGINES = (ENGINE_AUTO,) + ENGINES
+
+
+def resolve_engine(engine: str, num_cores: int) -> str:
+    """The concrete engine a campaign on *num_cores* cores runs *engine* as.
+
+    ``auto`` is ``trace`` on a single-core machine and ``simple`` on a
+    multi-core one: :meth:`Machine.run` hands each core 64-instruction
+    turns there, so over a quarter of the instructions still run in the
+    interpreter at turn ends and compiled code saves nothing while its
+    set-up and memory costs remain.  Explicit engines pass through.
+    """
+    if engine == ENGINE_AUTO:
+        return ENGINE_TRACE if num_cores == 1 else ENGINE_SIMPLE
+    return engine
 
 
 @dataclass(frozen=True)

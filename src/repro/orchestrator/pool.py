@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
-from ..swifi.campaign import CampaignResult, InputCase, RunRecord
+from ..swifi.campaign import CampaignConfig, CampaignResult, InputCase, RunRecord
 # Not called here: the end-to-end benchmark's layer tracer wraps this name.
 from ..swifi.campaign import execute_injection_run  # noqa: F401
 from ..swifi.faults import MachineFault
@@ -86,7 +86,7 @@ class OrchestratorOptions:
     seed: int = 0
     snapshot: str = "off"                   # golden-run restore fast path
     trace: bool = False                     # per-run span tracing
-    engine: str = "simple"                  # machine execution engine
+    engine: str = CampaignConfig.engine     # machine execution engine
     prune: bool = False                     # planner: dormant-fault pruning
     memoize: bool = False                   # planner: outcome memoization
     memo_dir: str | None = None             # planner: on-disk memo (JSONL)

@@ -33,7 +33,13 @@ from typing import Callable, Sequence
 
 from ..machine.loader import Executable
 from ..observability import trace as _trace
-from ..swifi.campaign import InputCase, RunRecord, execute_injection_run
+from ..machine.machine import resolve_engine
+from ..swifi.campaign import (
+    CampaignConfig,
+    InputCase,
+    RunRecord,
+    execute_injection_run,
+)
 from ..swifi.faults import MachineFault
 
 #: Message tags on the result queue.
@@ -69,7 +75,7 @@ class ShardTask:
     seed: int
     snapshot: str = "off"  # golden-run restore policy; cache built in-process
     trace: bool = False    # per-run span tracing (repro.observability)
-    engine: str = "simple"  # machine execution engine for every run
+    engine: str = CampaignConfig.engine  # execution engine for every run
     # -- campaign planner (repro.planning); cache built in-process ------
     prune: bool = False
     memoize: bool = False
@@ -107,7 +113,7 @@ def build_shard_task(
     seed: int,
     snapshot: str = "off",
     trace: bool = False,
-    engine: str = "simple",
+    engine: str = CampaignConfig.engine,
     prune: bool = False,
     memoize: bool = False,
     memo_dir: str | None = None,
@@ -123,7 +129,8 @@ def build_shard_task(
     the specs this shard references, with ``runs`` mapping each serial
     run index to positions in the compacted tuples.  Shared by the
     ``multiprocessing`` supervisor and the service broker so a shard is
-    built identically wherever it executes.
+    built identically wherever it executes; *engine* is resolved against
+    *num_cores* here, so a task always names a concrete engine.
     """
     from .scheduler import pair_for_index
 
@@ -155,7 +162,7 @@ def build_shard_task(
         seed=seed,
         snapshot=snapshot,
         trace=trace,
-        engine=engine,
+        engine=resolve_engine(engine, num_cores),
         prune=prune,
         memoize=memoize,
         memo_dir=memo_dir,

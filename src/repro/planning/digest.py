@@ -18,8 +18,10 @@ On top of the digest the planner adds three fingerprint helpers:
   *act* identically share a fingerprint;
 * :func:`memo_key` — the outcome-memo cache key: case fingerprint +
   behaviour fingerprint + every execution parameter that could change
-  the outcome (budget, quantum, core count, engine) + the oracle's
-  expected output (the failure-mode classification depends on it).
+  the outcome (budget, quantum, core count) + the oracle's expected
+  output (the failure-mode classification depends on it).  Records are
+  engine-independent by contract, so the key names the reference
+  engine whichever engine executed the run.
 
 Keying on the *pre-injection* boot state plus the behaviour fingerprint
 — rather than on a mid-run post-injection digest alone — is what makes
@@ -34,6 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..machine.machine import ENGINE_SIMPLE
 from ..machine.memory import PAGE_SIZE
 from ..swifi.faults import MachineFault
 
@@ -145,8 +148,14 @@ def behavior_fingerprint(spec: MachineFault) -> str:
 
 
 def memo_key(case_fingerprint: str, expected: bytes, spec: MachineFault, *,
-             budget: int, quantum: int, num_cores: int, engine: str) -> str:
-    """The outcome-memo key for one (case, fault, execution-config) run."""
+             budget: int, quantum: int, num_cores: int) -> str:
+    """The outcome-memo key for one (case, fault, execution-config) run.
+
+    Every engine produces the same record, so an entry written by a run
+    on any engine serves a run on any other.  The key names the
+    reference engine, ``simple``, so memo dirs filled by interpreter
+    campaigns stay valid.
+    """
     hasher = hashlib.sha256()
     hasher.update(case_fingerprint.encode())
     hasher.update(b"|expected:")
@@ -156,7 +165,7 @@ def memo_key(case_fingerprint: str, expected: bytes, spec: MachineFault, *,
     hasher.update(
         b"|budget=%d|quantum=%d|cores=%d|engine=" % (budget, quantum, num_cores)
     )
-    hasher.update(engine.encode())
+    hasher.update(ENGINE_SIMPLE.encode())
     return hasher.hexdigest()
 
 

@@ -116,8 +116,8 @@ class PlannerCache:
     def _fingerprint_for(self, case: InputCase) -> str:
         fingerprint = self._case_fps.get(case.case_id)
         if fingerprint is None:
-            # Boot state does not depend on the engine (memo_key carries
-            # it), so never build a block or trace engine just to hash.
+            # Boot state does not depend on the engine, so never build a
+            # block or trace engine just to hash.
             machine = boot(
                 self.executable, num_cores=self.num_cores,
                 inputs=dict(case.pokes), engine=ENGINE_SIMPLE,
@@ -129,8 +129,7 @@ class PlannerCache:
     def _memo_key(self, spec: MachineFault, case: InputCase, budget: int) -> str:
         return memo_key(
             self._fingerprint_for(case), case.expected, spec,
-            budget=budget, quantum=self.quantum,
-            num_cores=self.num_cores, engine=self.engine,
+            budget=budget, quantum=self.quantum, num_cores=self.num_cores,
         )
 
     # -- the planning fast path -----------------------------------------

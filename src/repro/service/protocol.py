@@ -35,7 +35,7 @@ import pickle
 from dataclasses import dataclass, field
 
 from ..machine.loader import Executable
-from ..swifi.campaign import InputCase
+from ..swifi.campaign import CampaignConfig, InputCase
 from ..swifi.faults import MachineFault
 
 #: Bumped on any incompatible wire change; broker and workers refuse to
@@ -129,7 +129,7 @@ class CampaignOptions:
 
     seed: int = 0
     shard_size: int | None = None
-    engine: str = "simple"
+    engine: str = CampaignConfig.engine
     snapshot: str = "off"
     trace: bool = False
     label: str | None = None
@@ -161,7 +161,7 @@ class CampaignOptions:
         return CampaignOptions(
             seed=int(payload.get("seed", 0)),
             shard_size=payload.get("shard_size"),
-            engine=str(payload.get("engine", "simple")),
+            engine=str(payload.get("engine", CampaignConfig.engine)),
             snapshot=str(payload.get("snapshot", "off")),
             trace=bool(payload.get("trace", False)),
             label=payload.get("label"),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ..experiments import ExperimentConfig
 from ..experiments.campaign6 import FAULT_CLASSES, iter_section6_campaigns
 from ..orchestrator.journal import MANIFEST_NAME, RUNS_NAME, campaign_fingerprint
+from ..swifi.campaign import CampaignConfig
 from .client import BrokerClient, BrokerUnavailable
 from .protocol import CampaignBundle, CampaignOptions
 from .state import CAMPAIGN_RUNNING
@@ -47,7 +48,7 @@ def build_submissions(
     programs: list[str] | None = None,
     classes: tuple[str, ...] = FAULT_CLASSES,
     shard_size: int | None = None,
-    engine: str = "simple",
+    engine: str = CampaignConfig.engine,
     snapshot: str = "off",
     trace: bool = False,
     max_attempts: int | None = None,
@@ -207,7 +208,7 @@ def run_submit(
     programs: list[str] | None = None,
     classes: tuple[str, ...] = FAULT_CLASSES,
     shard_size: int | None = None,
-    engine: str = "simple",
+    engine: str = CampaignConfig.engine,
     snapshot: str = "off",
     trace: bool = False,
     journal_dir: str | None = None,

@@ -138,9 +138,11 @@ def run_source_campaign(
     config: CampaignConfig,
     progress: Callable[[int, int], None] | None = None,
 ) -> CampaignResult:
-    """Execute a source-tier campaign through an existing runner."""
+    """Execute a source-tier campaign through an existing runner, on the
+    concrete engine :meth:`CampaignRunner.run` resolved into ``runner.engine``."""
     _check_config(config)
     source_faults = _check_faults(faults)
+    engine = runner.engine
     runner.calibrate()  # budgets + golden oracle come from the ORIGINAL binary
     budgets = dict(runner.budgets)
     cases = runner.cases
@@ -193,14 +195,14 @@ def run_source_campaign(
                     consume(_run_fault(
                         mutant, cases, budgets,
                         num_cores=runner.num_cores, quantum=runner.quantum,
-                        engine=config.engine, wanted=wanted,
+                        engine=engine, wanted=wanted,
                     ))
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(config.jobs, len(pending)),
                     initializer=_worker_init,
                     initargs=(runner.compiled, cases, budgets,
-                              runner.num_cores, runner.quantum, config.engine),
+                              runner.num_cores, runner.quantum, engine),
                 ) as pool:
                     for batch in pool.map(_worker_run, pending):
                         consume(batch)

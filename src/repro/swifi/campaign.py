@@ -27,7 +27,15 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..lang.compiler import CompiledProgram
 from ..machine.loader import boot
-from ..machine.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINE_TRACE, ENGINES
+from ..machine.machine import (
+    CAMPAIGN_ENGINES,
+    ENGINE_AUTO,
+    ENGINE_BLOCK,
+    ENGINE_SIMPLE,
+    ENGINE_TRACE,
+    ENGINES,
+    resolve_engine,
+)
 from ..observability import trace as _trace
 from ..persist import atomic_write_json
 from .faults import MachineFault
@@ -86,7 +94,11 @@ class CampaignConfig:
       and ``"trace"`` the block engine plus superblock traces over hot
       paths (:mod:`repro.machine.blocks`); both compiled engines are
       faster and fall back to the interpreter around every
-      fault-injection hook;
+      fault-injection hook.  The default, ``"auto"``, runs single-core
+      programs on ``"trace"`` and multi-core ones on ``"simple"``
+      (:func:`repro.machine.machine.resolve_engine`); the runner resolves
+      it per program, so shard tasks, the planner and journals only see
+      a concrete engine;
     * ``prune``/``memoize`` — the campaign planner
       (:mod:`repro.planning`): ``prune`` statically synthesizes records
       for provably dormant / invisible faults without booting a machine,
@@ -120,7 +132,7 @@ class CampaignConfig:
     telemetry: "TelemetrySink | None" = None
     label: str | None = None
     trace: bool = False
-    engine: str = ENGINE_SIMPLE
+    engine: str = ENGINE_AUTO
     budget_factor: int | None = None
     min_budget: int | None = None
     prune: bool = False
@@ -145,9 +157,9 @@ class CampaignConfig:
             raise ValueError(
                 f"snapshot must be one of {SNAPSHOT_POLICIES}, got {self.snapshot!r}"
             )
-        if self.engine not in ENGINES:
+        if self.engine not in CAMPAIGN_ENGINES:
             raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                f"engine must be one of {CAMPAIGN_ENGINES}, got {self.engine!r}"
             )
         if self.resume and self.journal_dir is None:
             raise ValueError("resume=True needs a journal_dir to resume from")
@@ -439,7 +451,8 @@ class CampaignRunner:
         self.budget_factor = budget_factor
         self.min_budget = min_budget
         self.quantum = quantum
-        self.engine = ENGINE_SIMPLE  # set per-campaign from CampaignConfig
+        # The default config's engine until run() applies a config's.
+        self.engine = resolve_engine(CampaignConfig.engine, num_cores)
         self.budgets: dict[str, int] = {}
         self.golden_instructions: dict[str, int] = {}
 
@@ -529,10 +542,9 @@ class CampaignRunner:
                 f"{config.opt_level} but the compiled program was built at "
                 f"opt_level={self.compiled.opt_level}"
             )
-        if config.engine != self.engine:
-            self.engine = config.engine
-            # Budgets are engine-independent (instret is bit-identical),
-            # so calibrations from a previous engine remain valid.
+        # Budgets are engine-independent (instret is bit-identical), so
+        # calibrations from a previous engine remain valid.
+        self.engine = resolve_engine(config.engine, self.num_cores)
 
         if config.tier == TIER_SOURCE:
             # Source-tier faults are AST mutations: each one compiles to
@@ -554,7 +566,7 @@ class CampaignRunner:
                 seed=config.seed,
                 snapshot=config.snapshot,
                 trace=config.trace,
-                engine=config.engine,
+                engine=self.engine,
                 prune=config.prune,
                 memoize=config.memoize,
                 memo_dir=config.memo_dir,

@@ -157,6 +157,19 @@ class TestFiguresChoiceValidation:
         ):
             assert build_parser().parse_args(argv).engine == "trace"
 
+    def test_engine_defaults_to_auto_everywhere(self):
+        for argv in (
+            ["figures"],
+            ["ablation-triggers"],
+            ["ablation-hardware"],
+            ["srcfi", "campaign"],
+            ["srcfi", "compare"],
+            ["submit", "http://h:1"],
+        ):
+            assert build_parser().parse_args(argv).engine == "auto"
+            assert build_parser().parse_args(
+                argv + ["--engine", "simple"]).engine == "simple"
+
 
 class TestSourceTierFlagConflicts:
     """--tier source + machine-tier-only flags: a one-line exit-2

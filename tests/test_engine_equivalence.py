@@ -61,6 +61,18 @@ def assert_engines_identical(states):
         assert state == simple, f"engine {engine!r} diverged"
 
 
+def compiled_block_covers(machine, pc):
+    """Whether *pc* lies in a block *machine*'s engine has compiled.
+
+    A block is compiled on its second entry and runs compiled from then
+    on, so a trap pc covered by one was raised from compiled code.
+    """
+    return any(
+        run is not None and entry <= pc < entry + 4 * count
+        for entry, (count, run) in machine.block_engine.blocks.items()
+    )
+
+
 # ---------------------------------------------------------------------------
 # Randomised straight-line / branchy programs
 # ---------------------------------------------------------------------------
@@ -68,29 +80,46 @@ def assert_engines_identical(states):
 _BINOPS = ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"]
 
 
-def random_program(rng: random.Random) -> str:
+def random_program(rng: random.Random, passes: int = 1) -> str:
     """A short random MiniC program: arithmetic soup with loops and branches.
 
-    Divisions by a possibly-zero expression are *kept* — an arithmetic
-    trap raised from the middle of a compiled block is exactly the kind
-    of path this suite must prove identical.
+    Divisions by a possibly-zero expression are *kept*.  The compiled
+    engines interpret a block's first entry and compile it on the second,
+    so with ``passes=1`` the straight-line prologue runs in the
+    interpreter and only the loop is compiled.  With ``passes=2`` the
+    prologue and the loop run twice, and the second pass shifts each
+    prologue divisor right by three bits, so a division by zero is often
+    raised from the middle of a compiled block — exactly the kind of
+    path this suite must prove identical.
     """
-    lines = ["int in_a;", "int in_b;", "void main() {"]
+    prologue = []
     names = ["in_a", "in_b"]
     for i in range(rng.randint(3, 7)):
         var = f"v{i}"
         a, b = rng.choice(names), rng.choice(names)
         op = rng.choice(_BINOPS)
-        lines.append(f"    int {var} = ({a} {op} ({b} & 15)) + {rng.randint(-9, 99)};")
+        divisor = f"({b} & 15)" if passes == 1 else f"(({b} & 15) >> (3 * pass))"
+        prologue.append(f"{var} = ({a} {op} {divisor}) + {rng.randint(-9, 99)};")
         names.append(var)
     loop_var = "i"
-    lines.append("    int acc = 1;")
-    lines.append(f"    int {loop_var};")
-    lines.append(f"    for ({loop_var} = 0; {loop_var} < {rng.randint(5, 60)}; {loop_var}++) {{")
+    loop = [f"for ({loop_var} = 0; {loop_var} < {rng.randint(5, 60)}; {loop_var}++) {{"]
     a, b = rng.choice(names), rng.choice(names)
-    lines.append(f"        acc = acc * 3 + ({a} {rng.choice(_BINOPS)} ({b} | 1));")
-    lines.append(f"        if (acc > {rng.randint(100, 10_000)}) {{ acc = acc - {a}; }}")
-    lines.append("    }")
+    loop.append(f"    acc = acc * 3 + ({a} {rng.choice(_BINOPS)} ({b} | 1));")
+    loop.append(f"    if (acc > {rng.randint(100, 10_000)}) {{ acc = acc - {a}; }}")
+    loop.append("}")
+    lines = ["int in_a;", "int in_b;", "void main() {"]
+    if passes == 1:
+        lines += [f"    int {statement}" for statement in prologue]
+        lines += ["    int acc = 1;", f"    int {loop_var};"]
+        lines += [f"    {line}" for line in loop]
+    else:
+        lines += [f"    int {name};" for name in names[2:]]
+        lines += ["    int acc;", f"    int {loop_var};", "    int pass;"]
+        lines.append(f"    for (pass = 0; pass < {passes}; pass++) {{")
+        lines += [f"        {statement}" for statement in prologue]
+        lines.append("        acc = 1;")
+        lines += [f"        {line}" for line in loop]
+        lines.append("    }")
     for name in names[2:]:
         lines.append(f"    print_int({name});")
     lines.append("    print_int(acc);")
@@ -121,6 +150,42 @@ class TestRandomProgramEquivalence:
         compiled = compile_source(source, "divzero")
         states = run_engines(compiled, inputs={"in_x": 0})
         assert states[0]["status"] == "trapped"
+        assert_engines_identical(states)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_pass_random_program_full_state_identical(self, seed):
+        rng = random.Random(3000 + seed)
+        compiled = compile_source(random_program(rng, passes=2),
+                                  f"rand2-{seed}")
+        inputs = {"in_a": rng.randint(-1 << 31, (1 << 31) - 1),
+                  "in_b": rng.randint(-100, 100)}
+        assert_engines_identical(run_engines(compiled, inputs=inputs))
+
+    def test_division_by_zero_trap_in_a_compiled_block_identical(self):
+        # The loop body divides by 1, then (its second entry, so compiled)
+        # by 0.
+        source = """
+        int in_x;
+        void main() {
+            int pass;
+            int b;
+            for (pass = 0; pass < 2; pass++) {
+                b = 7 / (in_x - pass);
+                print_int(b);
+            }
+            exit(0);
+        }
+        """
+        compiled = compile_source(source, "divzero-twice")
+        states = []
+        for engine in ENGINES:
+            machine = boot(compiled.executable, inputs={"in_x": 1},
+                           engine=engine)
+            states.append(final_state(machine, machine.run()))
+            if engine != ENGINE_SIMPLE:
+                assert compiled_block_covers(machine, machine.cores[0].pc)
+        assert states[0]["status"] == "trapped"
+        assert states[0]["console"] == b"7"
         assert_engines_identical(states)
 
 
@@ -345,6 +410,45 @@ class TestTrapBoundaryAccounting:
             assert golden["machine_instret"] == golden["cores"][0][3]
             for engine, (machine, state) in zip(ENGINES[1:], runs[1:]):
                 assert state == golden, (length, offset, engine)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 65, 96])
+    def test_trap_at_every_compiled_straight_line_offset(self, length):
+        # The straight-line runs above, looped over three passes.  The
+        # compiled engines interpret the first entry at `again` and
+        # compile it on the second: the last pass, where r11 is 0 and the
+        # planted trap fires from inside the compiled block(s).
+        rng = random.Random(7700 + length)
+        for offset in range(length):
+            trap = rng.choice(["divw r10, r6, r11",  # divide by zero
+                               "lwz r10, 0(r12)"])   # unmapped load
+            lines = [
+                "addi r6, r0, 100",
+                "addi r11, r0, 2",     # passes left after this one
+                "addi r14, r0, 4096",  # a readable word: the code base
+                "addi r12, r14, 0",    # r14 while r11 > 0, then 0
+                "again:",
+            ]
+            lines += [self._filler(rng) for _ in range(offset)]
+            lines.append(trap)
+            lines += [self._filler(rng) for _ in range(length - 1 - offset)]
+            lines += [
+                "addi r11, r11, -1",
+                "neg r13, r11",
+                "srawi r13, r13, 31",  # -1 while r11 > 0, then 0
+                "and r12, r13, r14",
+                "cmpi r11, 0",
+                "bc ge, again",
+                "sc 0",
+            ]
+            runs = self._run_engines_asm("\n".join(lines))
+            golden = runs[0][1]
+            assert golden["status"] == "trapped", (length, offset)
+            assert golden["cores"][0][4][11] == 0, (length, offset)
+            assert golden["machine_instret"] == golden["cores"][0][3]
+            for engine, (machine, state) in zip(ENGINES[1:], runs[1:]):
+                assert state == golden, (length, offset, engine)
+                assert compiled_block_covers(machine, state["cores"][0][0]), (
+                    length, offset, engine)
 
     @pytest.mark.parametrize("body", [0, 1, 2, 3, 5, 8, 13])
     def test_trap_at_every_loop_body_offset(self, body):

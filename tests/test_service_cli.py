@@ -32,7 +32,7 @@ class TestParsing:
 
     def test_submit_defaults(self):
         args = build_parser().parse_args(["submit", "http://h:1"])
-        assert args.shard_size is None and args.engine == "simple"
+        assert args.shard_size is None and args.engine == "auto"
         assert not args.no_wait and args.journal_dir is None
 
     def test_serve_requires_state_dir(self, capsys):
