@@ -11,7 +11,9 @@ module turns those journals back into evidence:
 * :func:`render_trace_report` prints the per-phase wall-clock breakdown
   and the execution-path / fallback-reason table; the table's run total
   always equals the journal's record count (runs without a trace entry
-  are reported as *untraced*, never dropped);
+  are reported as *untraced*, never dropped); hung runs are split into
+  those ended at their cycle, by loop, and those that ran to the budget,
+  by reason;
 * :func:`export_perfetto` writes the span trees as a Chrome/Perfetto
   trace-event JSON (load it in ``ui.perfetto.dev`` or
   ``chrome://tracing``): one thread per journal, runs laid end-to-end in
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from ..persist import atomic_write_json
 from .trace import (
     FALLBACK_REASONS,
+    HANG_CYCLE,
+    HANG_DECLINE_REASONS,
     PATH_DORMANT,
     PATH_FRESH,
     PATH_MEMO,
@@ -205,6 +209,22 @@ def render_trace_report(report: TraceReport) -> str:
             f"    {label:<40} {count:>8} {100.0 * count / denominator:>6.1f}%"
         )
     lines.append(f"    {'total':<40} {total:>8} {100.0 * total / denominator:>6.1f}%")
+
+    hung = sum(stats.hangs.values())
+    if hung:
+        lines.append("")
+        lines.append(
+            f"  Hung runs: {hung}, ended at the cycle: {stats.hangs[HANG_CYCLE]} "
+            f"({stats.counters['instructions_skipped']} instructions skipped)"
+        )
+        for reason in HANG_DECLINE_REASONS:
+            if stats.hangs[reason]:
+                lines.append(
+                    f"    {'at the budget: ' + reason:<40} {stats.hangs[reason]:>8}"
+                )
+        for journal in report.journals:
+            for label, count in sorted(journal.stats.loops.items()):
+                lines.append(f"    loop in {journal.label}, {label}: {count}")
 
     if stats.counters:
         lines.append("")

@@ -18,6 +18,9 @@ seam every layer shares:
   golden run exited without the trigger firing) or ``fresh`` — with the
   fallback reason when the fast path was declined (temporal trigger,
   trap mode, multi-core, cache miss, golden-run exit);
+* for a hung run, how it ended: at its cycle (the injector's cycle probe
+  fast-forwarded whole periods; the run then names its loop) or at the
+  budget, with the reason the probe declined;
 * :class:`TraceStats`, the aggregation consumed by the telemetry layer
   (per shard and per campaign) and by ``repro trace report``.
 
@@ -88,6 +91,24 @@ FALLBACK_REASONS = (
     REASON_MULTI_CORE,
     REASON_CACHE_MISS,
     REASON_GOLDEN_EXIT,
+)
+
+# -- how a hung run ended (see repro.swifi.injector) --------------------------
+
+HANG_CYCLE = "cycle"                  # fast-forwarded at its repeating state
+REASON_SIMPLE_ENGINE = "simple-engine"
+REASON_DATA_TRIGGER = "data-trigger"
+REASON_MULTI_FAULT = "multi-fault"
+REASON_NO_REPEAT = "no-repeat"
+
+#: Every way a hung run can end at its budget instead of at its cycle.
+HANG_DECLINE_REASONS = (
+    REASON_MULTI_CORE,
+    REASON_SIMPLE_ENGINE,
+    REASON_DATA_TRIGGER,
+    REASON_TEMPORAL,
+    REASON_MULTI_FAULT,
+    REASON_NO_REPEAT,
 )
 
 # -- module state -------------------------------------------------------------
@@ -194,6 +215,8 @@ class RunTrace:
         "path",
         "fallback_reason",
         "mode",
+        "hang",
+        "loop",
         "root",
         "counters",
         "_t0",
@@ -206,6 +229,10 @@ class RunTrace:
         self.path = PATH_FRESH
         self.fallback_reason: str | None = None
         self.mode: str | None = None
+        #: For a hung run: HANG_CYCLE or one of HANG_DECLINE_REASONS.
+        self.hang: str | None = None
+        #: The loop a HANG_CYCLE run ended in (trigger pc and period).
+        self.loop: dict | None = None
         self._t0 = time.perf_counter()
         self.root = Span("run", 0.0)
         self._stack: list[Span] = [self.root]
@@ -262,7 +289,7 @@ class RunTrace:
         return dict(totals)
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "fault_id": self.fault_id,
             "case_id": self.case_id,
             "path": self.path,
@@ -276,6 +303,11 @@ class RunTrace:
             "counters": dict(self.counters),
             "spans": [child.to_dict() for child in self.root.children],
         }
+        if self.hang is not None:
+            payload["hang"] = self.hang
+        if self.loop is not None:
+            payload["loop"] = self.loop
+        return payload
 
 
 # -- producer protocol --------------------------------------------------------
@@ -306,6 +338,26 @@ def add_counter(name: str, value: int = 1) -> None:
     """Bump a counter on the current run (no-op when not tracing)."""
     if _run_stack:
         _run_stack[-1].counters[name] += value
+
+
+def note_hang(ending: str, loop: dict | None = None) -> None:
+    """Record how the current run's hang ended (no-op when not tracing).
+
+    *ending* is :data:`HANG_CYCLE` with *loop* naming the trigger pc,
+    the period and the instructions skipped, or a decline reason.
+    """
+    if _run_stack:
+        run = _run_stack[-1]
+        run.hang = ending
+        run.loop = loop
+        if loop is not None:
+            run.counters["instructions_skipped"] += loop["skipped"]
+
+
+def _loop_label(loop: dict) -> str:
+    """One loop's row label: trigger pc and period."""
+    return (f"pc {loop['pc']:#x}: {loop['period']} instr, "
+            f"{loop['activations']} activations")
 
 
 def _unwind(run: RunTrace) -> None:
@@ -356,6 +408,8 @@ class TraceStats:
         "phase_counts",
         "counters",
         "modes",
+        "hangs",
+        "loops",
         "retries",
         "resume_skips",
     )
@@ -369,6 +423,10 @@ class TraceStats:
         self.phase_counts: Counter = Counter()
         self.counters: Counter = Counter()
         self.modes: Counter = Counter()
+        #: hung runs by ending: HANG_CYCLE or a decline reason
+        self.hangs: Counter = Counter()
+        #: runs that ended at their cycle, by loop (pc and period)
+        self.loops: Counter = Counter()
         self.retries = 0
         self.resume_skips = 0
 
@@ -395,6 +453,12 @@ class TraceStats:
         mode = payload.get("mode")
         if mode:
             self.modes[mode] += 1
+        hang = payload.get("hang")
+        if hang:
+            self.hangs[hang] += 1
+        loop = payload.get("loop")
+        if loop:
+            self.loops[_loop_label(loop)] += 1
 
     def merge(self, other: "TraceStats") -> None:
         self.runs += other.runs
@@ -405,6 +469,8 @@ class TraceStats:
         self.phase_counts.update(other.phase_counts)
         self.counters.update(other.counters)
         self.modes.update(other.modes)
+        self.hangs.update(other.hangs)
+        self.loops.update(other.loops)
         self.retries += other.retries
         self.resume_skips += other.resume_skips
 
@@ -422,6 +488,8 @@ class TraceStats:
             "phase_counts": dict(self.phase_counts),
             "counters": dict(self.counters),
             "modes": dict(self.modes),
+            "hangs": dict(self.hangs),
+            "loops": dict(self.loops),
             "retries": self.retries,
             "resume_skips": self.resume_skips,
         }
@@ -437,6 +505,8 @@ class TraceStats:
         stats.phase_counts = Counter(payload.get("phase_counts") or {})
         stats.counters = Counter(payload.get("counters") or {})
         stats.modes = Counter(payload.get("modes") or {})
+        stats.hangs = Counter(payload.get("hangs") or {})
+        stats.loops = Counter(payload.get("loops") or {})
         stats.retries = payload.get("retries", 0)
         stats.resume_skips = payload.get("resume_skips", 0)
         return stats
@@ -444,6 +514,8 @@ class TraceStats:
 
 __all__ = [
     "FALLBACK_REASONS",
+    "HANG_CYCLE",
+    "HANG_DECLINE_REASONS",
     "PATHS",
     "PATH_DORMANT",
     "PATH_FRESH",
@@ -463,8 +535,12 @@ __all__ = [
     "PHASE_SNAPSHOT_RESTORE",
     "PHASE_TRACE_COMPILE",
     "REASON_CACHE_MISS",
+    "REASON_DATA_TRIGGER",
     "REASON_GOLDEN_EXIT",
     "REASON_MULTI_CORE",
+    "REASON_MULTI_FAULT",
+    "REASON_NO_REPEAT",
+    "REASON_SIMPLE_ENGINE",
     "REASON_TEMPORAL",
     "REASON_TRAP_MODE",
     "RunTrace",
@@ -477,6 +553,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "end_run",
+    "note_hang",
     "phase",
     "set_tracing",
     "take_completed",

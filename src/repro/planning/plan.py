@@ -19,12 +19,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..swifi.campaign import RunRecord
+from ..swifi.campaign import PROVENANCE_EXECUTED, RunRecord
 
-#: provenance values, in partition order
+#: provenance values, in partition order; an extrapolated record is a
+#: real run and counts as executed
 PROVENANCE_PRUNED = "pruned"
 PROVENANCE_MEMOIZED = "memoized"
-PROVENANCE_EXECUTED = "executed"
 PROVENANCES = (PROVENANCE_PRUNED, PROVENANCE_MEMOIZED, PROVENANCE_EXECUTED)
 
 #: metadata keys tried, in order, to label a record's fault class

@@ -39,7 +39,12 @@ from collections import Counter
 from ..machine.loader import Executable, boot
 from ..machine.machine import ENGINE_SIMPLE
 from ..observability import trace as _trace
-from ..swifi.campaign import InputCase, RunRecord
+from ..swifi.campaign import (
+    PROVENANCE_EXECUTED,
+    PROVENANCE_EXTRAPOLATED,
+    InputCase,
+    RunRecord,
+)
 from ..swifi.faults import MachineFault
 from .digest import memo_key, state_fingerprint
 from .memo import OutcomeCache, outcome_from_record, record_from_outcome
@@ -170,7 +175,7 @@ class PlannerCache:
         """Feed an executed run's outcome into the memo."""
         if self.memo is None or spec is None:
             return
-        if record.provenance != "executed":
+        if record.provenance not in (PROVENANCE_EXECUTED, PROVENANCE_EXTRAPOLATED):
             return
         self.memo.put(self._memo_key(spec, case, budget),
                       outcome_from_record(record))

@@ -61,6 +61,11 @@ SNAPSHOT_POLICIES = (SNAPSHOT_OFF, SNAPSHOT_AUTO, SNAPSHOT_VERIFY)
 #: Version of the CampaignResult JSON schema (see CampaignResult.to_json).
 RESULT_SCHEMA_VERSION = 2
 
+#: RunRecord.provenance of records from real runs: executed in full, or
+#: ended at a hang's cycle with the arithmetic of whole periods.
+PROVENANCE_EXECUTED = "executed"
+PROVENANCE_EXTRAPOLATED = "extrapolated"
+
 PokeValue = int | list[int] | bytes
 
 
@@ -198,13 +203,14 @@ class RunRecord:
     injections: int
     instructions: int
     metadata: tuple[tuple[str, object], ...] = ()
-    #: How the record was obtained: "executed" (a real run), "pruned"
-    #: (synthesized by the planner's dormancy prover) or "memoized"
-    #: (replayed from the outcome memo).  Excluded from equality: the
-    #: planner's contract is that every *outcome* field is bit-identical
-    #: regardless of provenance, and the differential oracle holds it to
-    #: that.
-    provenance: str = field(default="executed", compare=False)
+    #: How the record was obtained: "executed" (a real run),
+    #: "extrapolated" (a real run whose hang ended at its cycle, see
+    #: repro.swifi.injector), "pruned" (synthesized by the planner's
+    #: dormancy prover) or "memoized" (replayed from the outcome memo).
+    #: Excluded from equality: the contract is that every *outcome* field
+    #: is bit-identical regardless of provenance, and the differential
+    #: oracle holds it to that.
+    provenance: str = field(default=PROVENANCE_EXECUTED, compare=False)
 
     @property
     def meta(self) -> dict[str, object]:
@@ -250,7 +256,7 @@ class RunRecord:
             injections=payload["injections"],
             instructions=payload["instructions"],
             metadata=pairs,
-            provenance=payload.get("provenance", "executed"),
+            provenance=payload.get("provenance", PROVENANCE_EXECUTED),
         )
 
 
@@ -339,6 +345,11 @@ class CampaignResult:
         return result
 
 
+def session_provenance(session: InjectionSession) -> str:
+    """The provenance of a record built from *session*'s run."""
+    return PROVENANCE_EXECUTED if session.cycle is None else PROVENANCE_EXTRAPOLATED
+
+
 def execute_injection_run(
     executable: "Executable",
     spec: MachineFault | None,
@@ -420,6 +431,7 @@ def execute_injection_run(
             injections=session.injection_count(fault_id),
             instructions=result.instructions,
             metadata=spec.metadata if spec is not None else (),
+            provenance=session_provenance(session),
         )
         if planner is not None:
             planner.record_executed(spec, case, budget, record)

@@ -248,6 +248,12 @@ class WhenPolicy:
             return True
         return activation < self.start + self.count
 
+    def settled_from(self) -> int:
+        """The first activation from which :meth:`fires` never changes."""
+        if self.count is None:
+            return self.start
+        return self.start + self.count
+
     @staticmethod
     def every() -> "WhenPolicy":
         return WhenPolicy(1, None)

@@ -19,14 +19,27 @@ Faithfulness notes:
   the "very intrusive" traditional approach).
 * The target program is never recompiled or instrumented at source level;
   everything goes through the debug port, exactly as Xception works.
+
+The paper ends a hung run when the experiment manager's timeout fires;
+here that is the instruction budget.  A hang whose complete state
+repeats at the trigger fetch is ended at its cycle instead, with the
+record and final state the full run would produce (:class:`CycleProbe`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..isa.registers import SP
 from ..machine.debug import DebugResourceError
-from ..machine.machine import DEFAULT_BUDGET, Machine, RunResult
+from ..machine.machine import (
+    DEFAULT_BUDGET,
+    STACK_REGION,
+    STACK_SIZE,
+    Machine,
+    RunResult,
+)
+from ..observability import trace as _trace
 from .faults import (
     MODE_BREAKPOINT,
     MODE_TRAP,
@@ -51,6 +64,119 @@ class InjectionError(RuntimeError):
     """A fault spec that cannot be armed on this machine."""
 
 
+class _ProbeStop(Exception):
+    """Raised by a fetch handler so the session sees the exact state.
+
+    Raised before the activation counts, and deliberately not a
+    :class:`repro.machine.traps.Trap`: it leaves ``Machine.run``
+    unclassified.  Every engine flushes its retired instructions on any
+    exception and leaves ``core.pc`` at the trigger, so the session can
+    inspect the machine and resume it where it stopped; the trigger is
+    then fetched again, and counts, as if nothing had happened.
+    """
+
+
+class CycleProbe:
+    """Finds a hang's period at the fetches of one fault's trigger.
+
+    Each trigger fetch is sampled before its activation counts, once the
+    when-policy is settled (``fires`` is constant from there on).  Brent's
+    cycle detection runs on a cheap key: registers, lr, cr and the live
+    stack bytes (pc is the trigger).  A repeated key only nominates a
+    period of A activations; the probe then stops the machine twice, A
+    activations apart, and compares the complete architectural state.
+    If it is equal the run is periodic from there: the machine is
+    deterministic, the state covers everything its future depends on,
+    and only the budget reads the retired count.  :meth:`stopped` then
+    returns the period: (instructions, activations, injections).
+
+    A key that repeats while the full state does not (a global counts)
+    costs at most one failed comparison per Brent window.
+    """
+
+    __slots__ = (
+        "machine", "core", "activations", "injections", "fault_id", "start",
+        "saved", "saved_at", "power", "window_failed", "target",
+        "stopped_at", "pending",
+    )
+
+    def __init__(self, session: "InjectionSession", spec: MachineFault) -> None:
+        self.machine = session.machine
+        self.core = self.machine.cores[0]
+        self.activations = session.activations
+        self.injections = session.injections
+        self.fault_id = spec.fault_id
+        # Activations counted before the first one the policy settled on.
+        self.start = spec.when.settled_from() - 1
+        self.saved: tuple | None = None  # Brent's tortoise: the cheap key
+        self.saved_at = 0
+        self.power = 1
+        self.window_failed = False
+        self.target: int | None = None  # activation count of the confirming stop
+        self.stopped_at = -1
+        self.pending: tuple | None = None  # (state, instret, injections, seen)
+
+    def sample(self) -> None:
+        """Called at a trigger fetch; raises :class:`_ProbeStop` to stop."""
+        seen = self.activations.get(self.fault_id, 0)
+        if seen == self.stopped_at or seen < self.start:
+            return  # a re-fetch after a stop, or the policy has not settled
+        if self.target is not None:
+            if seen == self.target:
+                self.stopped_at = seen
+                raise _ProbeStop()
+            return
+        # The key: registers, lr, cr and the live stack (pc is the trigger).
+        core = self.core
+        regs = core.regs
+        saved = self.saved
+        if (saved is not None and regs == saved[0] and core.lr == saved[1]
+                and core.cr == saved[2] and not self.window_failed
+                and core._load_transform is None and core._store_transform is None
+                and self._live_stack(regs) == saved[3]):
+            self.target = 2 * seen - self.saved_at
+            self.stopped_at = seen
+            raise _ProbeStop()
+        if saved is None or seen - self.saved_at >= self.power:
+            if saved is not None:
+                self.power *= 2
+            self.saved = (list(regs), core.lr, core.cr, self._live_stack(regs))
+            self.saved_at = seen
+            self.window_failed = False
+
+    def _live_stack(self, regs: list[int]) -> bytes:
+        sp = regs[SP]
+        top = STACK_REGION + STACK_SIZE
+        return self.machine.memory.data[sp:top] if STACK_REGION <= sp < top else b""
+
+    def stopped(self) -> tuple[int, int, int] | None:
+        """At a stop: the confirmed period, or ``None`` to resume."""
+        machine = self.machine
+        taken = (self._state(), machine.instret,
+                 self.injections.get(self.fault_id, 0), self.stopped_at)
+        if self.pending is None:
+            self.pending = taken
+            return None
+        before, self.pending, self.target = self.pending, None, None
+        if taken[0] != before[0]:
+            self.window_failed = True
+            return None
+        return (taken[1] - before[1], taken[3] - before[3], taken[2] - before[2])
+
+    def _state(self) -> tuple:
+        """Everything the run's future depends on, bar the counters."""
+        machine = self.machine
+        core = self.core
+        memory = machine.memory
+        return (
+            tuple(core.regs), core.pc, core.lr, core.cr, core.halted,
+            core.blocked, core.exit_code, core._load_transform,
+            core._store_transform, tuple(memory.nonzero_pages()),
+            machine.heap.capture(), bytes(machine.console),
+            memory._ranges_gen, machine.debug.generation,
+        )
+
+
 class InjectionSession:
     """Arms faults on one machine and runs it to an outcome."""
 
@@ -58,9 +184,13 @@ class InjectionSession:
         self.machine = machine
         self.activations: dict[str, int] = {}
         self.injections: dict[str, int] = {}
-        self.first_injection_instret: dict[str, int] = {}
         self._temporal: list[MachineFault] = []
         self._armed: list[MachineFault] = []
+        self._probe: CycleProbe | None = None
+        #: Set when run() ended a hang at its cycle: the trigger ``pc``,
+        #: the ``period`` in instructions, its ``activations`` and the
+        #: instructions ``skipped``.
+        self.cycle: dict | None = None
 
     # ------------------------------------------------------------------
 
@@ -108,7 +238,49 @@ class InjectionSession:
     # ------------------------------------------------------------------
 
     def run(self, max_instructions: int = DEFAULT_BUDGET, quantum: int = 64) -> RunResult:
-        """Run the machine to completion, applying temporal faults on time."""
+        """Run the machine to completion, applying temporal faults on time.
+
+        A hang whose complete state repeats at the trigger fetch ends at
+        its cycle: whole periods that fit in the budget are skipped
+        arithmetically and the remainder, shorter than one period, really
+        executes.  :attr:`cycle` then names the loop.
+        """
+        declined = self._probe_declined()
+        if declined is None:
+            self._probe = CycleProbe(self, self._armed[0])
+        try:
+            result = self._execute(max_instructions, quantum)
+        finally:
+            self._probe = None
+        if result.status == "hung":
+            if self.cycle is not None:
+                _trace.note_hang(_trace.HANG_CYCLE, self.cycle)
+            else:
+                _trace.note_hang(declined or _trace.REASON_NO_REPEAT)
+        return result
+
+    def _probe_declined(self) -> str | None:
+        """Why a hang of this run must run to its budget, or ``None``.
+
+        The ``simple`` engine stays the literal reference that executes
+        every instruction.  On a multi-core machine the scheduler's phase
+        would be state too, and data and temporal triggers do not fetch
+        at one address.
+        """
+        machine = self.machine
+        if len(machine.cores) != 1:
+            return _trace.REASON_MULTI_CORE
+        if machine.block_engine is None:
+            return _trace.REASON_SIMPLE_ENGINE
+        if self._temporal:
+            return _trace.REASON_TEMPORAL
+        if any(isinstance(spec.trigger, DataAccess) for spec in self._armed):
+            return _trace.REASON_DATA_TRIGGER
+        if len(self._armed) != 1:
+            return _trace.REASON_MULTI_FAULT
+        return None
+
+    def _execute(self, max_instructions: int, quantum: int) -> RunResult:
         pending = sorted(self._temporal, key=lambda s: s.trigger.instructions)
         budget_end = self.machine.instret + max_instructions
         for spec in pending:
@@ -124,9 +296,32 @@ class InjectionSession:
             self._note_activation(spec.fault_id)
             if spec.when.fires(self.activations[spec.fault_id]):
                 self._apply_actions(spec, self._pick_core(), None)
-        return self.machine.run(
-            max_instructions=budget_end - self.machine.instret, quantum=quantum
-        )
+        while True:
+            try:
+                return self.machine.run(
+                    max_instructions=budget_end - self.machine.instret, quantum=quantum
+                )
+            except _ProbeStop:
+                period = self._probe.stopped()
+                if period is not None:
+                    self._fast_forward(period, budget_end)
+
+    def _fast_forward(self, period: tuple[int, int, int], budget_end: int) -> None:
+        """Skip every whole *period* that fits before *budget_end*."""
+        probe = self._probe
+        self._probe = None
+        instructions, activations, injections = period
+        periods = (budget_end - self.machine.instret) // instructions
+        if periods == 0:
+            return
+        skipped = periods * instructions
+        self.machine.instret += skipped
+        probe.core.instret += skipped
+        self.activations[probe.fault_id] += periods * activations
+        if injections:
+            self.injections[probe.fault_id] += periods * injections
+        self.cycle = {"pc": probe.core.pc, "period": instructions,
+                      "activations": activations, "skipped": skipped}
 
     def _pick_core(self) -> "Core":
         for core in self.machine.cores:
@@ -143,8 +338,6 @@ class InjectionSession:
 
     def _note_injection(self, fault_id: str) -> None:
         self.injections[fault_id] = self.injections.get(fault_id, 0) + 1
-        if fault_id not in self.first_injection_instret:
-            self.first_injection_instret[fault_id] = self.machine.instret
 
     def _apply_actions(self, spec: MachineFault, core: "Core", word: int | None) -> int | None:
         """Apply every action; return the substitute fetched word, if any."""
@@ -177,6 +370,8 @@ class InjectionSession:
         when = spec.when
 
         def on_fetch(core: "Core", pc: int, word: int) -> int | None:
+            if self._probe is not None:
+                self._probe.sample()
             activation = self._note_activation(fault_id)
             if not when.fires(activation):
                 return None
@@ -224,4 +419,4 @@ class InjectionSession:
         return bool(self.injections)
 
 
-__all__ = ["InjectionError", "InjectionSession", "DebugResourceError"]
+__all__ = ["CycleProbe", "DebugResourceError", "InjectionError", "InjectionSession"]

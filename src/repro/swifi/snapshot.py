@@ -62,6 +62,7 @@ from .campaign import (
     InputCase,
     RunRecord,
     execute_injection_run,
+    session_provenance,
 )
 from .faults import MODE_BREAKPOINT, DataAccess, MachineFault, OpcodeFetch, Temporal
 from .injector import InjectionSession
@@ -281,6 +282,7 @@ class CaseTrace:
             injections=session.injection_count(spec.fault_id),
             instructions=result.instructions,
             metadata=spec.metadata,
+            provenance=session_provenance(session),
         )
 
 

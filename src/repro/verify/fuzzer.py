@@ -114,6 +114,7 @@ class FuzzReport:
     opt_cases: int = 0               # O0-vs-O1 observable comparisons
     record_campaigns: int = 0
     total_runs: int = 0
+    extrapolated_runs: int = 0       # hangs a compiled engine ended at the cycle
     skipped_faults: int = 0
     elapsed: float = 0.0
     stopped_early: bool = False
@@ -128,7 +129,8 @@ class FuzzReport:
         lines = [
             f"verify fuzz: seed={self.seed} programs={self.programs} "
             f"state-cases={self.state_cases} record-campaigns={self.record_campaigns} "
-            f"runs={self.total_runs} elapsed={self.elapsed:.1f}s"
+            f"runs={self.total_runs} extrapolated={self.extrapolated_runs} "
+            f"elapsed={self.elapsed:.1f}s"
             + (" (stopped early: budget)" if self.stopped_early else ""),
         ]
         if self.resumed_programs:
@@ -253,6 +255,9 @@ def _journal_program(journal: Path, config: FuzzConfig, index: int,
         "skipped": report.skipped_faults - before[3],
         "opt_cases": report.opt_cases - before[5],
     }
+    extrapolated = report.extrapolated_runs - before[6]
+    if extrapolated:  # schema-additive: entries without hangs keep their bytes
+        entry["extrapolated"] = extrapolated
     with JsonlAppender(journal) as log:
         log.append(entry)
 
@@ -288,11 +293,13 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
             report.total_runs += entry.get("runs", 0)
             report.skipped_faults += entry.get("skipped", 0)
             report.opt_cases += entry.get("opt_cases", 0)
+            report.extrapolated_runs += entry.get("extrapolated", 0)
             index += 1
             continue
         before = (report.state_cases, report.record_campaigns,
                   report.total_runs, report.skipped_faults,
-                  len(report.divergences), report.opt_cases)
+                  len(report.divergences), report.opt_cases,
+                  report.extrapolated_runs)
         if config.tier == TIER_SOURCE:
             _fuzz_source_program(config, report, clock, index)
         else:
@@ -507,6 +514,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
             )
             report.record_campaigns += len(matrix)
             report.total_runs += opt_oracle.runs
+            report.extrapolated_runs += opt_oracle.extrapolated
             for divergence in divergences:
                 divergence = dataclasses.replace(
                     divergence,
@@ -523,6 +531,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
                     break
 
     report.total_runs += oracle.runs
+    report.extrapolated_runs += oracle.extrapolated
 
 
 # ---------------------------------------------------------------------------

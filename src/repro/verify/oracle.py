@@ -34,6 +34,7 @@ from ..swifi.campaign import (
     DEFAULT_BUDGET_FACTOR,
     DEFAULT_MIN_BUDGET,
     InputCase,
+    PROVENANCE_EXTRAPOLATED,
     RunRecord,
     SNAPSHOT_OFF,
     SNAPSHOT_POLICIES,
@@ -114,13 +115,22 @@ from ..planning.digest import StateDigest, machine_digest  # noqa: E402
 def run_state(executable, spec: MachineFault | None, case: InputCase, *,
               budget: int, engine: str, quantum: int = 64) -> StateDigest:
     """One fresh-boot injection run with direct machine access."""
+    return _run_state(executable, spec, case, budget=budget, engine=engine,
+                      quantum=quantum)[0]
+
+
+def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
+               budget: int, engine: str,
+               quantum: int = 64) -> tuple[StateDigest, bool]:
+    """:func:`run_state`, plus whether the run ended a hang at its cycle."""
     machine = boot(executable, inputs=dict(case.pokes), engine=engine)
     session = InjectionSession(machine)
     fault_id = spec.fault_id if spec is not None else "none"
     if spec is not None:
         session.arm(spec)
     result = session.run(budget, quantum=quantum)
-    return machine_digest(machine, result, session, fault_id)
+    digest = machine_digest(machine, result, session, fault_id)
+    return digest, session.cycle is not None
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +207,8 @@ class DifferentialOracle:
         self.matrix = full_matrix() if matrix is None else list(matrix)
         self.state_engines = state_engines
         self.runs = 0
+        #: runs whose hang ended at its cycle (compared like any other)
+        self.extrapolated = 0
 
     # -- state tier ------------------------------------------------------
 
@@ -210,10 +222,11 @@ class DifferentialOracle:
         fault_id = spec.fault_id if spec is not None else "golden"
         digests: dict[str, StateDigest] = {}
         for engine in self.state_engines:
-            digests[engine] = run_state(
+            digests[engine], extrapolated = _run_state(
                 self.compiled.executable, spec, case, budget=budget, engine=engine
             )
             self.runs += 1
+            self.extrapolated += extrapolated
         base_engine = self.state_engines[0]
         base = digests[base_engine]
         for engine in self.state_engines[1:]:
@@ -260,6 +273,9 @@ class DifferentialOracle:
             ),
         )
         self.runs += len(result.records)
+        self.extrapolated += sum(
+            record.provenance == PROVENANCE_EXTRAPOLATED for record in result.records
+        )
         return result.records
 
     def _compare(self, base: list[RunRecord], other: list[RunRecord],

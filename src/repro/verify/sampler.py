@@ -24,7 +24,11 @@ Two descriptor kinds:
 
 Sampling is weighted toward the historically risky machine surfaces: the
 ``divw``/``modw`` trap accounting, loads/stores near memory-range edges,
-and trap-insertion mode (which the snapshot fast path must refuse).
+and trap-insertion mode (which the snapshot fast path must refuse).  A
+share of raw faults turn a ``for`` step into a no-op (``category
+"step"``): the shape of a stationary hang, whose run the compiled engines
+end at its cycle (:class:`repro.swifi.injector.CycleProbe`) while the
+``simple`` engine runs it to the budget.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from dataclasses import asdict, dataclass, replace
 from ..emulation import ASSIGNMENT_CLASS, CHECKING_CLASS, NotEmulableError
 from ..emulation.locator import FaultLocator
 from ..isa.encoding import (
+    NOP_WORD,
     OP_LBZ,
     OP_LWZ,
     OP_STB,
@@ -98,7 +103,7 @@ class MachineFaultRecipe(InjectionSpec):
     fault_offset: int = 0         # ordinal into that location's error types
     # -- raw -------------------------------------------------------------
     trigger: str = ""             # "fetch" | "data" | "temporal"
-    category: str = "any"         # fetch-trigger weighting: any|div|mem
+    category: str = "any"         # fetch-trigger weighting: any|div|mem|step
     trigger_index: int = 0        # code-word / global-word ordinal
     on_load: bool = True
     on_store: bool = False
@@ -109,7 +114,7 @@ class MachineFaultRecipe(InjectionSpec):
     operand: int = 1
     # -- shared ----------------------------------------------------------
     mode: str = MODE_BREAKPOINT
-    when: str = "every"           # every|once|nth
+    when: str = "every"           # every|once|nth|window
     when_n: int = 2
     seed: int = 0                 # rng stream for table3 random-value types
 
@@ -199,7 +204,10 @@ class MachineFaultRecipe(InjectionSpec):
                 (action,), when=when, mode=MODE_BREAKPOINT,
             )
         assert self.trigger == "fetch"
-        candidates = _fetch_candidates(code_words, self.category)
+        if self.category == "step":
+            candidates = _loop_steps(compiled) or _fetch_candidates(code_words, "any")
+        else:
+            candidates = _fetch_candidates(code_words, self.category)
         index = candidates[self.trigger_index % len(candidates)]
         address = executable.code_base + 4 * index
         if isinstance(action.location, (CodeWord, MemoryWord)):
@@ -227,6 +235,9 @@ class MachineFaultRecipe(InjectionSpec):
             return WhenPolicy.once()
         if self.when == "nth":
             return WhenPolicy.nth(max(1, self.when_n))
+        if self.when == "window":
+            # Long enough for a stuck loop to repeat before it closes.
+            return WhenPolicy(max(1, self.when_n), 8 * max(1, self.when_n))
         return WhenPolicy.every()
 
     def _corruption(self) -> Corruption:
@@ -273,6 +284,16 @@ def _decode_code_words(executable) -> list[int]:
     return [int.from_bytes(code[k:k + 4], "big") for k in range(0, len(code), 4)]
 
 
+def _loop_steps(compiled) -> list[int]:
+    """Code-word indices of the stores committing ``i++``-style steps."""
+    code_base = compiled.executable.code_base
+    return [
+        (site.address - code_base) >> 2
+        for site in compiled.debug.assignments
+        if site.kind == "incdec" and site.anchorable and site.address is not None
+    ]
+
+
 def _fetch_candidates(code_words: list[int], category: str) -> list[int]:
     """Code-word indices for one weighting category (wrapping fallback)."""
     if category == "div":
@@ -293,9 +314,10 @@ def _fetch_candidates(code_words: list[int], category: str) -> list[int]:
 # Sampling
 # ---------------------------------------------------------------------------
 
-#: (kind-weighted) sampling plan: roughly half Table-3 rule faults, half
-#: raw SWIFI corruptions, with the raw half biased toward the div/mem
-#: fetch categories and a sprinkle of trap-mode and temporal cases.
+#: (kind-weighted) sampling plan: roughly half Table-3 rule faults, a
+#: tenth stuck loop steps, the rest raw SWIFI corruptions biased toward
+#: the div/mem fetch categories with a sprinkle of trap-mode and
+#: temporal cases.
 def sample_descriptors(rng: random.Random, count: int) -> list[MachineFaultRecipe]:
     """Draw *count* distinct fault descriptors from the seeded stream."""
     seen: set[str] = set()
@@ -313,7 +335,8 @@ def sample_descriptors(rng: random.Random, count: int) -> list[MachineFaultRecip
 
 
 def _sample_one(rng: random.Random) -> MachineFaultRecipe:
-    if rng.random() < 0.45:
+    roll = rng.random()
+    if roll < 0.45:
         return MachineFaultRecipe(
             kind="table3",
             klass=rng.choice((ASSIGNMENT_CLASS, CHECKING_CLASS)),
@@ -324,6 +347,8 @@ def _sample_one(rng: random.Random) -> MachineFaultRecipe:
             when_n=rng.randint(2, 4),
             seed=rng.randrange(1 << 30),
         )
+    if roll < 0.55:
+        return _sample_loop_step(rng)
     trigger = rng.choice(("fetch", "fetch", "fetch", "data", "temporal"))
     target = {
         "fetch": rng.choice(("fetched", "fetched", "register", "code", "store", "load")),
@@ -355,6 +380,39 @@ def _sample_one(rng: random.Random) -> MachineFaultRecipe:
         operand=operand & 0xFFFFFFFF if op != "add" else operand,
         mode=MODE_TRAP if trigger == "fetch" and rng.random() < 0.25 else MODE_BREAKPOINT,
         when=rng.choice(("every", "every", "once", "nth")),
+        when_n=rng.randint(2, 5),
+        seed=rng.randrange(1 << 30),
+    )
+
+
+def _sample_loop_step(rng: random.Random) -> MachineFaultRecipe:
+    """A ``for`` step turned into a no-op: the loop sticks.
+
+    A substitution on the fetch bus sticks the loop while the when-policy
+    fires; the persistent code rewrite sticks it for good after the
+    first injection.  A ``window`` policy therefore sticks the loop for
+    a while and then lets it exit, or keeps injecting for a while into a
+    loop that never ends: either way a hang detector that ignored the
+    when-policy would change the record.
+    """
+    mode = MODE_TRAP if rng.random() < 0.25 else MODE_BREAKPOINT
+    when = rng.choice(("every", "once", "nth", "window", "window"))
+    if mode == MODE_TRAP:
+        target = "fetched"  # a trap executes the saved word, not memory's
+    elif when in ("once", "nth"):
+        target = "code"
+    else:
+        target = rng.choice(("fetched", "code"))
+    return MachineFaultRecipe(
+        kind="raw",
+        trigger="fetch",
+        category="step",
+        trigger_index=rng.randrange(4096),
+        target=target,
+        op="set",
+        operand=NOP_WORD,
+        mode=mode,
+        when=when,
         when_n=rng.randint(2, 5),
         seed=rng.randrange(1 << 30),
     )

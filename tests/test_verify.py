@@ -16,7 +16,17 @@ import pytest
 from repro.lang import compile_source
 from repro.machine import blocks, boot
 from repro.machine.machine import ENGINE_BLOCK, ENGINE_SIMPLE
+from repro.isa.encoding import NOP_WORD
 from repro.swifi.campaign import InputCase
+from repro.swifi.faults import (
+    Action,
+    FetchedWord,
+    MachineFault,
+    OpcodeFetch,
+    SetValue,
+    WhenPolicy,
+)
+from repro.swifi.injector import InjectionSession
 from repro.verify import (
     DifferentialOracle,
     MachineFaultRecipe,
@@ -354,6 +364,84 @@ class TestTraceGuardMutation:
         assert trace == simple
 
 
+@contextlib.contextmanager
+def overshooting_fast_forward():
+    """Sabotage the hang extrapolation: one period too many is skipped."""
+    original = InjectionSession._fast_forward
+
+    def sabotaged(self, period, budget_end):
+        original(self, period, budget_end + period[0])
+
+    InjectionSession._fast_forward = sabotaged
+    try:
+        yield
+    finally:
+        InjectionSession._fast_forward = original
+
+
+@contextlib.contextmanager
+def ignored_when_policy():
+    """Sabotage the hang extrapolation: the cycle probe samples from the
+    first activation, whatever the when-policy has still to do."""
+    original = WhenPolicy.settled_from
+    WhenPolicy.settled_from = lambda self: 1
+    try:
+        yield
+    finally:
+        WhenPolicy.settled_from = original
+
+
+class TestHangExtrapolationMutation:
+    """The fuzzer must catch a sabotaged fast-forward of a stationary hang."""
+
+    STUCK_LOOP = """
+    int in_n;
+    int gout[8];
+    void main() {
+        int i;
+        for (i = 0; i < in_n; i++) {
+            gout[i & 7] = i * 3;
+        }
+        print_int(gout[1]);
+        exit(0);
+    }
+    """
+
+    def _states(self, when):
+        compiled = compile_source(self.STUCK_LOOP, "stuck-loop")
+        (step,) = [site for site in compiled.debug.assignments
+                   if site.kind == "incdec"]
+        spec = MachineFault(
+            "stuck", OpcodeFetch(step.address),
+            (Action(FetchedWord(), SetValue(NOP_WORD)),), when=when,
+        )
+        case = InputCase("in0", {"in_n": 50}, b"")
+        return [run_state(compiled.executable, spec, case, budget=100_000,
+                          engine=engine)
+                for engine in (ENGINE_SIMPLE, "trace")]
+
+    @pytest.mark.parametrize("sabotage, when", [
+        (overshooting_fast_forward, WhenPolicy.every()),
+        # the loop is stuck for 40 passes, then runs to its exit
+        (ignored_when_policy, WhenPolicy(2, 40)),
+    ])
+    def test_fuzzer_catches_sabotaged_fast_forward(self, sabotage, when):
+        with sabotage():
+            simple, trace = self._states(when)
+            assert trace != simple, "sabotaged fast-forward went unnoticed"
+            # And the seeded fuzzer's state oracle catches it unaided.
+            report = run_fuzz(FuzzConfig(seed=0, cases=60,
+                                         inputs_per_program=1,
+                                         faults_per_program=4,
+                                         record_tier=False,
+                                         max_divergences=1, shrink=False))
+            assert not report.ok(), "sabotaged fast-forward went undetected"
+            assert report.divergences[0].tier == "state"
+        # Reverting the sabotage restores bit-identical execution.
+        simple, trace = self._states(when)
+        assert trace == simple
+
+
 class TestFuzzer:
     def test_small_clean_campaign(self):
         report = run_fuzz(FuzzConfig(seed=3, cases=12, inputs_per_program=1,
@@ -402,3 +490,4 @@ class TestFuzzSweep:
                                      artifact_dir=tmp_path))
         assert report.ok(), "\n".join(report.summary_lines())
         assert report.state_cases > 0 and report.record_campaigns > 0
+        assert report.extrapolated_runs > 0
