@@ -13,9 +13,14 @@ module trades a one-time compilation cost for straight-line execution:
   **once** into a specialized Python closure (most blocks of a short
   run are entered only once and never pay for codegen): operands are
   baked in as constants, registers live in Python locals for the
-  duration of the block, branch targets and trap messages are
-  precomputed, and ``regs``/``mem_data``/access-range checks are
-  captured in the closure;
+  duration of the block, and branch targets and trap messages are
+  precomputed;
+* a load or store whose address falls in the machine's stacks or data
+  segment — the first two ranges of ``Machine.access_ranges()``, bound
+  as closure locals — costs one range test and one call to a pre-bound
+  ``Struct('>I')`` method (or one ``mem_data`` index for bytes); every
+  other access (heap, code, misaligned, unmapped, a write to code) calls
+  the machine's one slow path, which raises the interpreter's trap;
 * the dispatch loop executes block-at-a-time from a cache keyed by the
   block's entry index, falling back to the per-instruction loop whenever
   a block would overrun the quantum / ``pause_at_instret`` budget, when
@@ -64,7 +69,7 @@ import importlib.util
 import marshal
 import os
 from collections import OrderedDict
-from struct import pack_into, unpack_from
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from ..isa.encoding import (
@@ -207,6 +212,11 @@ class _Emitter:
     it is a readable register until the first register-writing
     instruction zeroes it (matching the interpreter's ``regs[0] = 0``
     after every write), after which reads fold to the literal ``0``.
+
+    Loads and stores test the effective address against the two ranges
+    the factory binds (``lo0``..``hi1``) and otherwise call ``slow``;
+    ``ip``, the index the trap handler reports, is stored only on the
+    paths that can raise: the slow path and division by zero.
     """
 
     def __init__(self) -> None:
@@ -326,71 +336,53 @@ class _Emitter:
         else:  # pragma: no cover - the scanner only admits supported words
             raise AssertionError(f"unsupported opcode {opcode:#x} in block")
 
-    # -- memory -----------------------------------------------------------
+    # -- memory (see _bind_memory and _memory_slow_path) -------------------
 
-    def _effective_address(self, k: int, ra: int, imm: int) -> None:
+    def _inline(self, word: bool) -> str:
+        """Condition under which the access at ``ea`` runs inline.
+
+        Every segment starts and ends on a multiple of 4 (enforced by
+        ``Memory.add_segment``), so an aligned word that starts inside a
+        range lies wholly inside it.
+        """
+        ranges = "lo0 <= ea < hi0 or lo1 <= ea < hi1"
+        return f"ea & 3 == 0 and ({ranges})" if word else ranges
+
+    def _emit_access(self, k: int, ra: int, imm: int, word: bool,
+                     inline: str, slow: str) -> None:
         self.can_trap = True
-        self.prelude.append(f"_pc{k} = entry_pc + {self.pc_offset(k)}")
-        self.lines.append(f"ip = {k}")
         a = self.read(ra)
         if a == "0":
             self.lines.append(f"ea = {hex(imm & 0xFFFFFFFF)}")
         else:
             self.lines.append(f"ea = ({a} + {imm}) & {_M}")
+        self.lines += [
+            f"if {self._inline(word)}:",
+            f"    {inline}",
+            "else:",
+            f"    ip = {k}",
+            f"    {slow}",
+        ]
 
     def _emit_load_word(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._effective_address(k, ra, imm)
-        self.lines += [
-            "if ea & 3 == 0:",
-            "    for lo, hi in read_ranges:",
-            "        if lo <= ea < hi:",
-            "            t = unpack_from('>I', mem_data, ea)[0]",
-            "            break",
-            "    else:",
-            f"        t = read_word(ea, _pc{k})",
-            "else:",
-            f"    t = read_word(ea, _pc{k})",
-        ]
+        self._emit_access(k, ra, imm, True, "t = unpack(mem_data, ea)[0]",
+                          f"t = slow({OP_LWZ}, ea, 0)")
         self.write(rd, "t")
 
     def _emit_store_word(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._effective_address(k, ra, imm)
-        self.lines += [
-            f"t = {self.read(rd)}",
-            "if ea & 3 == 0:",
-            "    for lo, hi in write_ranges:",
-            "        if lo <= ea < hi:",
-            "            pack_into('>I', mem_data, ea, t)",
-            "            break",
-            "    else:",
-            f"        write_word(ea, t, _pc{k})",
-            "else:",
-            f"    write_word(ea, t, _pc{k})",
-        ]
+        value = self.read(rd)
+        self._emit_access(k, ra, imm, True, f"pack(mem_data, ea, {value})",
+                          f"slow({OP_STW}, ea, {value})")
 
     def _emit_load_byte(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._effective_address(k, ra, imm)
-        self.lines += [
-            "for lo, hi in read_ranges:",
-            "    if lo <= ea < hi:",
-            "        t = mem_data[ea]",
-            "        break",
-            "else:",
-            f"    t = read_byte(ea, _pc{k})",
-        ]
+        self._emit_access(k, ra, imm, False, "t = mem_data[ea]",
+                          f"t = slow({OP_LBZ}, ea, 0)")
         self.write(rd, "t")
 
     def _emit_store_byte(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._effective_address(k, ra, imm)
-        self.lines += [
-            f"t = {self.read(rd)}",
-            "for lo, hi in write_ranges:",
-            "    if lo <= ea < hi:",
-            "        mem_data[ea] = t & 0xFF",
-            "        break",
-            "else:",
-            f"    write_byte(ea, t, _pc{k})",
-        ]
+        value = self.read(rd)
+        self._emit_access(k, ra, imm, False, f"mem_data[ea] = {value} & 0xFF",
+                          f"slow({OP_STB}, ea, {value})")
 
     # -- the XO register-register group -----------------------------------
 
@@ -416,11 +408,11 @@ class _Emitter:
                 f"_msg{k} = 'integer division by zero at ' "
                 f"+ format(entry_pc + {self.pc_offset(k)}, '#010x')"
             )
-            self.lines.append(f"ip = {k}")
             t = self._signed(a, "t")
             u = self._signed(b, "u")
             self.lines += [
                 f"if {u} == 0:",
+                f"    ip = {k}",
                 f"    raise ArithmeticTrap(_msg{k})",
                 f"q = abs({t}) // abs({u})",
                 f"if ({t} < 0) != ({u} < 0):",
@@ -511,14 +503,12 @@ def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str
         writebacks.append("core.lr = lr")
 
     out = [
-        "def factory(entry_pc, mem_data, read_ranges, write_ranges, machine,",
-        "            read_word, write_word, read_byte, write_byte,",
-        "            unpack_from, pack_into, ArithmeticTrap, Trap):",
+        "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
+        "            lo0, hi0, lo1, hi1, slow, unpack, pack, ArithmeticTrap, Trap):",
     ]
     out += ["    " + line for line in emitter.prelude]
     out.append("    def run(core, regs):")
     if emitter.can_trap:
-        out.append("        ip = 0")
         out.append("        try:")
         inner = "            "
     else:
@@ -767,7 +757,7 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
         hoists.append("lr = core.lr")
         writebacks.append("core.lr = lr")
     flushes = [
-        f"pack_into('>I', mem_data, _ea{index}, {name})"
+        f"pack(mem_data, _ea{index}, {name})"
         for index, (_disp, name, written) in enumerate(slots)
         if written
     ]
@@ -791,12 +781,11 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
             guard.append("else:")
             guard.append("    return entry_pc, 0")
         for index, (_disp, name, _written) in enumerate(slots):
-            guard.append(f"{name} = unpack_from('>I', mem_data, _ea{index})[0]")
+            guard.append(f"{name} = unpack(mem_data, _ea{index})[0]")
 
     out = [
-        "def factory(entry_pc, mem_data, read_ranges, write_ranges, machine,",
-        "            read_word, write_word, read_byte, write_byte,",
-        "            unpack_from, pack_into, ArithmeticTrap, Trap):",
+        "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
+        "            lo0, hi0, lo1, hi1, slow, unpack, pack, ArithmeticTrap, Trap):",
     ]
     out += ["    " + line for line in em.prelude]
     if em.can_trap:
@@ -810,7 +799,6 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
     out.append("        n = 0")
     inner = "        "
     if em.can_trap:
-        out.append("        ip = 0")
         out.append("        try:")
         inner += "    "
     if looping:
@@ -850,6 +838,79 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
         else:
             final.append(line)
     return "\n".join(final)
+
+
+# ---------------------------------------------------------------------------
+# Memory access: the ranges a closure binds and its one out-of-line path
+# ---------------------------------------------------------------------------
+
+#: Big-endian word codec; closures call its bound ``unpack_from`` and
+#: ``pack_into``, which skip the per-call format-string lookup.
+_WORD = Struct(">I")
+
+
+def _memory_slow_path(memory, read_rest, write_rest):
+    """The out-of-line path of one machine's compiled loads and stores.
+
+    Emitted code calls it as ``slow(opcode, ea, value)`` for every access
+    the bound ranges miss: other segments, misaligned words, unmapped
+    addresses and writes to code.  It walks the remaining ranges and
+    otherwise leaves the access to the checked ``Memory`` method, which
+    raises the same trap the interpreter raises.  The closure's handler
+    fills in the trap's pc and core.
+    """
+    data = memory.data
+    unpack = _WORD.unpack_from
+    pack = _WORD.pack_into
+
+    def slow(opcode, ea, value):
+        if opcode == OP_LWZ:
+            if ea & 3 == 0:
+                for lo, hi in read_rest:
+                    if lo <= ea < hi:
+                        return unpack(data, ea)[0]
+            return memory.read_word(ea)
+        if opcode == OP_LBZ:
+            for lo, hi in read_rest:
+                if lo <= ea < hi:
+                    return data[ea]
+            return memory.read_byte(ea)
+        if opcode == OP_STW:
+            if ea & 3 == 0:
+                for lo, hi in write_rest:
+                    if lo <= ea < hi:
+                        pack(data, ea, value)
+                        return None
+            memory.write_word(ea, value)
+            return None
+        for lo, hi in write_rest:
+            if lo <= ea < hi:
+                data[ea] = value & 0xFF
+                return None
+        memory.write_byte(ea, value)
+        return None
+
+    return slow
+
+
+def _bind_memory(machine: "Machine") -> tuple:
+    """The arguments after ``entry_pc`` of every factory call on *machine*.
+
+    Binds the first two writable ranges of ``machine.access_ranges()`` —
+    the stacks, then the data segment — as the closures' ``lo0``..``hi1``
+    locals, and builds the slow path over every other range.  Valid until
+    the segment layout changes, which invalidates every closure anyway.
+    """
+    memory = machine.memory
+    readable, writable = machine.access_ranges()
+    # (0, 0) stands in for a missing range: it contains no address.
+    bound = (writable + [(0, 0), (0, 0)])[:2]
+    (lo0, hi0), (lo1, hi1) = bound
+    slow = _memory_slow_path(
+        memory, [r for r in readable if r not in bound], writable[2:]
+    )
+    return (machine, memory.data, readable, writable, lo0, hi0, lo1, hi1,
+            slow, _WORD.unpack_from, _WORD.pack_into, ArithmeticTrap, Trap)
 
 
 # ---------------------------------------------------------------------------
@@ -976,7 +1037,10 @@ def _emitter_codes() -> tuple:
             code = getattr(vars(cls)[name], "__code__", None)
             if code is not None:
                 codes.append((name, code))
-    for fn in (_generate_source, _generate_trace_source):
+    # The memory binding and slow path define what emitted code calls by
+    # position, so they are part of the code generator.
+    for fn in (_generate_source, _generate_trace_source, _bind_memory,
+               _memory_slow_path):
         codes.append((None, fn.__code__))
     return tuple(codes)
 
@@ -1124,6 +1188,7 @@ class BlockEngine:
         "_watch_keys",
         "compiled",
         "invalidated",
+        "_binding",
     )
 
     def __init__(self, machine: "Machine") -> None:
@@ -1138,6 +1203,9 @@ class BlockEngine:
         self._watch_keys: frozenset[int] = frozenset()
         self.compiled = 0
         self.invalidated = 0
+        #: ``_bind_memory(machine)``, built on the first compile after
+        #: every ``_sync`` that invalidated.
+        self._binding: tuple | None = None
 
     # -- invalidation ------------------------------------------------------
 
@@ -1167,6 +1235,7 @@ class BlockEngine:
         watch_keys = machine._fetch_watch.keys()
         if key != self._gen_key or watch_keys != self._watch_keys:
             self.invalidate()
+            self._binding = None
             self._gen_key = key
             self._watch_keys = frozenset(watch_keys)
 
@@ -1204,29 +1273,19 @@ class BlockEngine:
         self.blocks[entry_pc] = entry
         return entry
 
+    def _instantiate(self, factory, entry_pc: int):
+        """The closure *factory* builds at *entry_pc* on this machine."""
+        binding = self._binding
+        if binding is None:
+            binding = self._binding = _bind_memory(self.machine)
+        return factory(entry_pc, *binding)
+
     def _compile(self, entry_pc: int, count: int) -> tuple:
         machine = self.machine
         index = (entry_pc - machine.code_base) >> 2
         with _trace.phase(_trace.PHASE_BLOCK_COMPILE):
             factory = _factory_for(tuple(machine.code_words[index : index + count]))
-            memory = machine.memory
-            read_ranges, write_ranges = machine.access_ranges()
-            run = factory(
-                entry_pc,
-                memory.data,
-                read_ranges,
-                write_ranges,
-                machine,
-                memory.read_word,
-                memory.write_word,
-                memory.read_byte,
-                memory.write_byte,
-                unpack_from,
-                pack_into,
-                ArithmeticTrap,
-                Trap,
-            )
-        entry = (count, run)
+            entry = (count, self._instantiate(factory, entry_pc))
         self.blocks[entry_pc] = entry
         self.compiled += 1
         _trace.add_counter("blocks_compiled", 1)
@@ -1499,25 +1558,7 @@ class TraceEngine(BlockEngine):
                 return
             steps, terminal, promo, count, looping = plan
             factory = _trace_factory_for(steps, terminal, promo, count, looping)
-            machine = self.machine
-            memory = machine.memory
-            read_ranges, write_ranges = machine.access_ranges()
-            run = factory(
-                entry_pc,
-                memory.data,
-                read_ranges,
-                write_ranges,
-                machine,
-                memory.read_word,
-                memory.write_word,
-                memory.read_byte,
-                memory.write_byte,
-                unpack_from,
-                pack_into,
-                ArithmeticTrap,
-                Trap,
-            )
-            self.traces[entry_pc] = (count, run)
+            self.traces[entry_pc] = (count, self._instantiate(factory, entry_pc))
             self.traces_compiled += 1
             _trace.add_counter("traces_compiled", 1)
             _trace.add_counter("trace_instructions", count)

@@ -156,11 +156,14 @@ class Machine:
     def access_ranges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(readable, writable) address ranges for the CPU fast path.
 
-        Ordered by expected access frequency: stacks first (locals dominate
-        compiled code), then data, heap, and — for reads — code.  Cached on
-        the instance against the memory's segment version — this is called
-        once per quantum, and re-sorting all segments every 64 instructions
-        is measurable on multi-core runs.
+        Address-adjacent segments with the same permission merge into one
+        range, so the stacks of a multi-core machine are a single range;
+        the address set is unchanged.  Ordered by expected access
+        frequency: stacks first (locals dominate compiled code), then data,
+        heap, and — for reads — code.  Cached on the instance against the
+        memory's segment version — this is called once per quantum, and
+        re-sorting all segments every 64 instructions is measurable on
+        multi-core runs.
         """
         cached = self._access_ranges
         if cached is not None and self._access_ranges_gen == self.memory._ranges_gen:
@@ -175,9 +178,15 @@ class Machine:
                 return 2
             return 3
 
-        ordered = sorted(self.memory.segments, key=sort_key)
-        readable = [(s.start, s.end) for s in ordered]
-        writable = [(s.start, s.end) for s in ordered if s.writable]
+        merged: list[list] = []  # [sort key, start, end, writable]
+        for s in sorted(self.memory.segments, key=lambda s: s.start):
+            if merged and merged[-1][2] == s.start and merged[-1][3] == s.writable:
+                merged[-1][2] = s.end
+            else:
+                merged.append([sort_key(s), s.start, s.end, s.writable])
+        merged.sort(key=lambda m: m[0])
+        readable = [(start, end) for _key, start, end, _w in merged]
+        writable = [(start, end) for _key, start, end, w in merged if w]
         self._access_ranges = (readable, writable)
         self._access_ranges_gen = self.memory._ranges_gen
         return self._access_ranges

@@ -76,6 +76,10 @@ class Memory:
     def add_segment(self, name: str, start: int, size: int, *, writable: bool) -> Segment:
         if start < 0 or start + size > self.size:
             raise ValueError(f"segment {name!r} outside physical memory")
+        if start % 4 or size % 4:
+            # An aligned word then never straddles a segment boundary,
+            # which the CPU fast paths' one range test relies on.
+            raise ValueError(f"segment {name!r} must start and end on a word boundary")
         for existing in self.segments:
             if start < existing.end and existing.start < start + size:
                 raise ValueError(f"segment {name!r} overlaps {existing.name!r}")

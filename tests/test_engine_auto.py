@@ -202,6 +202,21 @@ class TestEmitterFingerprint:
         monkeypatch.undo()
         assert blocks._emitter_fingerprint() == before
 
+    @pytest.mark.parametrize("name", ["_memory_slow_path", "_bind_memory"])
+    def test_replacing_the_memory_helpers_changes_it(self, monkeypatch, name):
+        # Emitted code calls these by position: a disk entry built
+        # against the old ones must not be served.
+        before = blocks._emitter_fingerprint()
+        original = getattr(blocks, name)
+
+        def replaced(*args):
+            return original(*args)
+
+        monkeypatch.setattr(blocks, name, replaced)
+        assert blocks._emitter_fingerprint() != before
+        monkeypatch.undo()
+        assert blocks._emitter_fingerprint() == before
+
 
 class TestMemoKeysIgnoreTheEngine:
     SOURCE = """

@@ -18,7 +18,7 @@ import pytest
 from repro.emulation import ASSIGNMENT_CLASS, CHECKING_CLASS
 from repro.emulation.rules import generate_error_set
 from repro.lang import compile_source
-from repro.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINE_TRACE, boot
+from repro.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINE_TRACE, blocks, boot
 from repro.swifi import CampaignConfig, CampaignRunner, InputCase
 from repro.swifi.campaign import execute_injection_run
 
@@ -480,3 +480,220 @@ class TestTrapBoundaryAccounting:
             # have fallen back to block dispatch for the whole run.
             trace_machine = runs[-1][0]
             assert trace_machine.block_engine.traces_compiled > 0
+
+
+# ---------------------------------------------------------------------------
+# Compiled memory access: inline ranges, the slow path and their edges
+# ---------------------------------------------------------------------------
+
+
+def _probe_source(op: str, address: int, passes: int) -> str:
+    """A loop whose last pass makes one *op* access at *address*.
+
+    The earlier passes access a word of the core's own stack, so the
+    access on the last pass runs from a block compiled on the loop's
+    second entry (three passes) or from a looping trace (forty passes).
+    Setup and loop body are 16 instructions each: on a 4-core machine
+    every 64-instruction turn after the first then starts at the loop
+    head, and a trace runs whole turns.
+    """
+    reg = "r9" if op in ("stw", "stb") else "r10"
+    setup = [
+        f"addi r11, r0, {passes - 1}",    # passes left after this one
+        "addi r14, r1, -64",              # a word of this core's stack
+        f"addis r15, r0, {address >> 16}",
+        f"ori r15, r15, {address & 0xFFFF}",
+        "addis r9, r0, 0x1234",
+        "ori r9, r9, 0x5678",             # the value stores write
+        "addi r12, r14, 0",
+    ]
+    body = [
+        f"{op} {reg}, 0(r12)",
+        "addi r11, r11, -1",
+        "neg r13, r11",
+        "srawi r13, r13, 31",             # -1 while r11 > 0, then 0
+        "and r16, r13, r14",
+        "nor r17, r13, r13",
+        "and r17, r17, r15",
+        "or r12, r16, r17",               # r14 while r11 > 0, then r15
+        "cmpi r11, 0",
+        "bc ge, again",
+    ]
+    pad = "ori r8, r8, 0"
+    lines = setup + [pad] * (16 - len(setup)) + ["again:"]
+    lines += body[:1] + [pad] * (16 - len(body)) + body[1:]
+    lines.append("sc 0")
+    return "\n".join(lines)
+
+
+def _probe_executable(op: str, address: int, passes: int):
+    from repro.isa import assemble_text
+    from repro.machine import Executable
+
+    program = assemble_text(_probe_source(op, address, passes), base=0x1000)
+    # 20 bytes of data, which the loader rounds up to a 24-byte segment.
+    return Executable(code=program.code, entry=0x1000,
+                      data=bytes(range(1, 21)), symbols=program.symbols)
+
+
+def _probe_addresses(num_cores: int) -> list[int]:
+    """The edges of every mapped segment, misaligned words, and a gap."""
+    machine = boot(_probe_executable("lwz", 0, 3), num_cores=num_cores)
+    addresses = {0x0038_0000}  # between the heap and the stacks
+    for segment in machine.memory.segments:
+        start, end = segment.start, segment.end
+        addresses.update((start - 4, start - 1, start, start + 1, start + 2,
+                          end - 4, end - 2, end - 1, end))
+    return sorted(addresses)
+
+
+def _probe_states(op, address, passes, num_cores):
+    """Final state (with the trap's kind, pc, core and address) per engine."""
+    executable = _probe_executable(op, address, passes)
+    states = []
+    for engine in ENGINES:
+        machine = boot(executable, num_cores=num_cores, engine=engine)
+        result = machine.run(max_instructions=100_000)
+        state = final_state(machine, result)
+        trap = result.trap
+        if trap is not None:
+            state["trap_at"] = (trap.kind, trap.pc, trap.core_id, trap.address)
+            if engine != ENGINE_SIMPLE:
+                # The trapping access ran compiled: from the loop's
+                # block, or from its trace.
+                assert compiled_block_covers(machine, trap.pc), engine
+                if passes > 3 and engine == ENGINE_TRACE:
+                    loop = executable.symbols["again"]
+                    assert machine.block_engine.traces[loop][1] is not None
+        states.append(state)
+    return states
+
+
+_OPS = ("lwz", "stw", "lbz", "stb")
+
+
+class TestCompiledMemoryAccessEdges:
+    """Loads and stores at every segment edge match ``simple`` exactly.
+
+    Every address the bound stack and data ranges do not cover takes the
+    closures' slow path; this pins both sides of each boundary, stores
+    into read-only code, misaligned words and the unmapped gaps, on both
+    the single-core layout and the 4-core one whose stacks merge into one
+    range.
+    """
+
+    @pytest.mark.parametrize("num_cores", [1, 4])
+    @pytest.mark.parametrize("passes", [3, 40])
+    def test_every_edge_matches_simple(self, num_cores, passes):
+        outcomes = set()
+        for address in _probe_addresses(num_cores):
+            for op in _OPS:
+                states = _probe_states(op, address, passes, num_cores)
+                assert_engines_identical(states)
+                outcomes.add(states[0].get("trap_at", ("ok",))[0])
+        # Clean accesses and both kinds of trap occurred.
+        assert outcomes == {"ok", "memory-fault", "alignment-fault"}
+
+    def test_the_four_stacks_are_one_range(self):
+        from repro.machine import HEAP_BASE, STACK_REGION, STACK_SIZE
+
+        machine = boot(_probe_executable("lwz", 0, 3), num_cores=4)
+        readable, writable = machine.access_ranges()
+        stacks = (STACK_REGION, STACK_REGION + 4 * STACK_SIZE)
+        data, heap = (0x0010_0000, 0x0010_0018), (HEAP_BASE, HEAP_BASE + 0x0010_0000)
+        assert writable == [stacks, data, heap]
+        assert readable == writable + [(0x1000, 0x1000 + 4 * 33)]
+
+
+def _slow_path_calls(executable, inputs, *, inline=True):
+    """Slow-path calls in one ``trace`` run of *executable*.
+
+    With ``inline=False`` every emitted inline test reads ``False``, so
+    every compiled access calls the slow path: the count is then the
+    run's number of compiled memory accesses.  Traces form and bail from
+    branch profiles and the promoted-slot guard, which never consult the
+    inline test, so both runs compile the same closures.
+    """
+    calls = 0
+    original = blocks._memory_slow_path
+
+    def counting(*args):
+        slow = original(*args)
+
+        def counted(opcode, ea, value):
+            nonlocal calls
+            calls += 1
+            return slow(opcode, ea, value)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CODE_CACHE", "off")
+        patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+        patch.setattr(blocks, "_memory_slow_path", counting)
+        if not inline:
+            patch.setattr(blocks._Emitter, "_inline", lambda self, word: "False")
+        machine = boot(executable, inputs=inputs, engine=ENGINE_TRACE)
+        result = machine.run(max_instructions=50_000_000)
+    assert result.status == "exited"
+    return calls
+
+
+class TestSlowPathShare:
+    """How many compiled accesses the slow path serves, pinned.
+
+    Binding empty or stale ranges would send accesses to the slow path
+    without changing any record; only this count notices.
+    """
+
+    def _share(self, executable, inputs):
+        compiled = _slow_path_calls(executable, inputs, inline=False)
+        return _slow_path_calls(executable, inputs), compiled
+
+    def test_camelot_golden_run(self):
+        from repro.workloads import get_workload
+
+        workload = get_workload("C.team1")
+        case = workload.make_cases(1, seed=2000)[0]
+        slow, compiled = self._share(workload.compiled().executable,
+                                     dict(case.pokes))
+        # A third of the run's 2.54 M instructions are compiled loads
+        # and stores, all to the stack or the data segment.
+        assert compiled > 800_000
+        assert slow / compiled == 0.0
+
+    def test_memory_loop(self):
+        from benchmarks.test_machine_throughput import MEMORY_LOOP
+
+        executable = compile_source(MEMORY_LOOP, "memory-loop").executable
+        slow, compiled = self._share(executable, {})
+        assert compiled > 150_000
+        assert slow / compiled == 0.0
+
+
+class TestInlineBoundSabotage:
+    """An off-by-one inline bound must show in the edge probes."""
+
+    @staticmethod
+    def _inclusive_bound(self, word):
+        ranges = "lo0 <= ea <= hi0 or lo1 <= ea <= hi1"
+        return f"ea & 3 == 0 and ({ranges})" if word else ranges
+
+    def test_probes_catch_an_inclusive_upper_bound(self):
+        from repro.machine import STACK_REGION, STACK_SIZE
+
+        # The first addresses past the stack and the 24-byte data segment.
+        ends = (STACK_REGION + STACK_SIZE, 0x0010_0018)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CODE_CACHE", "off")
+            patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            patch.setattr(blocks._Emitter, "_inline", self._inclusive_bound)
+            for address in ends:
+                for op in _OPS:
+                    simple, *compiled = _probe_states(op, address, 3, 1)
+                    assert simple["trap_at"][0] == "memory-fault"
+                    assert all(state != simple for state in compiled)
+        # Undoing the sabotage restores identical state.
+        for address in ends:
+            for op in _OPS:
+                assert_engines_identical(_probe_states(op, address, 3, 1))

@@ -189,3 +189,20 @@ class TestLazyMapping:
         # ... and none of it reached the parent's machine.
         assert bytes(machine.memory.data) == before
         assert bytes(machine.console) == b""
+
+
+class TestSegmentAlignment:
+    """Segments start and end on word boundaries: an aligned word never
+    straddles two of them, which the CPU fast paths rely on."""
+
+    @pytest.mark.parametrize("start, size", [(0x1002, 0x100), (0x1000, 0x102),
+                                             (0x1001, 0x1)])
+    def test_unaligned_segment_rejected(self, start, size):
+        memory = Memory(0x10000)
+        with pytest.raises(ValueError, match="word boundary"):
+            memory.add_segment("odd", start, size, writable=True)
+        assert memory.segments == []
+
+    def test_aligned_segment_accepted(self):
+        memory = Memory(0x10000)
+        assert memory.add_segment("even", 0x1004, 0x8, writable=True).end == 0x100C
