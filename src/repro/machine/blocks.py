@@ -50,10 +50,16 @@ tier: it profiles block-entry execution counts and branch outcomes
 during warmup, chains hot blocks across predictable branches into
 **superblock traces** (the profiled path, guarded by cheap side-exits
 that fall back to block dispatch), batches self-looping traces into a
-budget-bounded inner loop, and promotes constant-offset stack slots into
-Python locals behind a per-entry alignment/range guard.  A trace closure
-returns ``(next_pc, executed)``; ``executed == 0`` signals a failed
-entry guard and nothing has run.
+budget-bounded inner loop, and keeps each trace's **frame slots** — the
+words at constant offsets from one base register the trace never writes
+— in Python locals.  One guard per trace entry proves the base aligned
+and every slot inside one mapped range; after it, a slot the trace has
+already loaded or stored is a copy of its local, and a first load or a
+store needs no range test.  Stores write through to memory (a looping
+trace whose only accesses are frame words defers them to its exits), and
+any other store forgets the cached slots, since it may alias one.  A
+trace closure returns ``(next_pc, executed)``; ``executed == 0`` signals
+a failed frame guard and nothing has run.
 
 Correctness contract (enforced by ``tests/test_engine_equivalence.py``):
 for any program and any fault from the paper's Table-3 classes, the
@@ -554,11 +560,9 @@ TRACE_BIAS = 0.85
 #: Formation caps: blocks per trace / instructions per iteration.
 TRACE_MAX_BLOCKS = 16
 TRACE_MAX_INSTR = 256
-#: Stack-slot promotion cap (each slot adds entry-guard cost).
-TRACE_MAX_SLOTS = 6
 
 #: Trace-cache entry for an entry PC where formation failed or the
-#: promoted-slot guard bailed: block dispatch handles it from now on.
+#: frame guard bailed: block dispatch handles it from now on.
 _NO_TRACE: tuple[int, None] = (0, None)
 
 #: Deferred-exit placeholder: "<marker><target-expr>\x00<count-expr>".
@@ -567,7 +571,7 @@ _NO_TRACE: tuple[int, None] = (0, None)
 #: the whole trace has been emitted.
 _EXIT = "\x00EXIT\x00"
 
-#: Opcodes that write their ``rd`` field (promotion-safety analysis).
+#: Opcodes that write their ``rd`` field (frame-base analysis).
 _WRITES_RD = frozenset(
     {
         OP_ADDI,
@@ -588,31 +592,67 @@ _WRITES_RD = frozenset(
 
 class _TraceEmitter(_Emitter):
     """Emits one superblock trace: straight-line instructions from many
-    blocks, guard side-exits at internal conditional branches, and
-    (optionally) promoted stack-slot locals in place of memory traffic.
+    blocks, guard side-exits at internal conditional branches, and the
+    frame slots (see :func:`_analyze_frame`) as Python locals.
+
+    ``known`` holds the frame slots whose local is current at the point
+    being emitted.  A frame load of a known slot is a copy of its local;
+    a first load unpacks the word with no range test (the entry guard
+    proved the whole frame mapped) and makes it known.  A frame store
+    sets the local and, unless the trace defers its stores to the exits,
+    writes through to memory, so memory stays exact for everything else
+    that reads it.  Any other store may alias a slot (MiniC takes the
+    address of locals), so it forgets every known slot.
     """
 
-    def __init__(self, offsets: list[int], slots: dict[int, str]) -> None:
+    def __init__(self, offsets: list[int], frame) -> None:
         super().__init__()
         self.offsets = offsets  # instruction index -> byte offset
-        self.slots = slots      # displacement -> slot local (promotion)
+        self.base = None
+        self.slots: dict[int, str] = {}  # displacement -> slot local
+        self.known: set[int] = set()
+        self.writes = False
+        self.deferred = False
+        self.preload: tuple[int, ...] = ()
+        self.stored: set[int] = set()  # slots a deferred trace must flush
+        if frame is not None:
+            self.base, slots, self.writes, self.deferred, self.preload = frame
+            self.slots = {disp: f"_s{i}" for i, disp in enumerate(slots)}
+            self.known = set(self.preload)
 
     def pc_offset(self, k: int) -> int:
         return self.offsets[k]
 
+    def slot_ea(self, disp: int) -> str:
+        """The address of a frame slot: fixed, mapped and aligned."""
+        return _plus(self.read(self.base), disp)
+
     def _emit_load_word(self, k: int, rd: int, ra: int, imm: int) -> None:
-        name = self.slots.get(imm)
+        name = self.slots.get(imm) if ra == self.base else None
         if name is None:
             super()._emit_load_word(k, rd, ra, imm)
-        else:
-            self.write(rd, name)
+            return
+        if imm not in self.known:
+            self.known.add(imm)
+            self.lines.append(f"{name} = unpack(mem_data, {self.slot_ea(imm)})[0]")
+        self.write(rd, name)
 
     def _emit_store_word(self, k: int, rd: int, ra: int, imm: int) -> None:
-        name = self.slots.get(imm)
+        name = self.slots.get(imm) if ra == self.base else None
         if name is None:
             super()._emit_store_word(k, rd, ra, imm)
+            self.known.clear()
+            return
+        self.known.add(imm)
+        self.lines.append(f"{name} = {self.read(rd)}")
+        if self.deferred:
+            self.stored.add(imm)
         else:
-            self.lines.append(f"{name} = {self.read(rd)}")
+            self.lines.append(f"pack(mem_data, {self.slot_ea(imm)}, {name})")
+
+    def _emit_store_byte(self, k: int, rd: int, ra: int, imm: int) -> None:
+        super()._emit_store_byte(k, rd, ra, imm)
+        self.known.clear()
 
     def emit_guard(self, k: int, cond: int, predicted_taken: bool,
                    exit_off: int) -> None:
@@ -630,70 +670,115 @@ class _TraceEmitter(_Emitter):
         self.lines.append(f"if {test}:")
         self.lines.append(f"    {_EXIT}{label}\x00n + {k + 1}")
 
+    def emit_frame_guard(self) -> list[str]:
+        """Entry guard and preloads; the guard bails with ``(entry_pc, 0)``
+        unless the base is word-aligned and every slot lies inside one
+        range (a writable one if the trace stores to a slot).  The bound
+        stack range is tested first, against the factory-level
+        ``_flo``/``_fhi``; every other range by a walk."""
+        disps = sorted(self.slots)
+        dmin, dmax = disps[0], disps[-1]
+        base = self.read(self.base)
+        self.prelude.append(f"_flo = {_plus('lo0', -dmin)}")
+        self.prelude.append(f"_fhi = {_plus('hi0', -dmax)}")
+        ranges = "write_ranges" if self.writes else "read_ranges"
+        lines = [
+            f"if {base} & 3 or not _flo <= {base} < _fhi:",
+            f"    for lo, hi in {ranges}:",
+            f"        if {_plus('lo', -dmin)} <= {base} < {_plus('hi', -dmax)}"
+            f" and not {base} & 3:",
+            "            break",
+            "    else:",
+            "        return entry_pc, 0",
+        ]
+        for disp in self.preload:
+            lines.append(
+                f"{self.slots[disp]} = unpack(mem_data, {self.slot_ea(disp)})[0]"
+            )
+        return lines
 
-def _analyze_promotion(steps) -> tuple[int, tuple] | None:
-    """Decide whether every memory access in the trace can be promoted
-    to a Python local.
 
-    Safe only when *all* memory operations are word-sized with a
-    constant displacement off one shared base register that the trace
-    never writes (so every slot's effective address is fixed for the
-    whole trace and distinct aligned slots cannot overlap).  Returns
-    ``(base_reg, ((disp, written), ...))`` or ``None``.
+def _plus(expr: str, value: int) -> str:
+    """``expr + value`` as emitted source."""
+    if value == 0:
+        return expr
+    return f"{expr} + {value}" if value > 0 else f"{expr} - {-value}"
+
+
+def _analyze_frame(steps, looping: bool) -> tuple[tuple | None, bool]:
+    """The trace's frame: which word accesses its closure serves from
+    Python locals.
+
+    The base is the register the trace never writes that carries the
+    most word accesses with a displacement that is a multiple of 4 (the
+    lowest register on a tie; never ``r0``); its slots are those
+    displacements.  Returns ``(frame, aliased)``, where ``frame`` is
+    ``None`` or ``(base, slots, writes, deferred, preload)``:
+
+    * ``writes`` — some slot is stored to, so the entry guard asks for a
+      writable range;
+    * ``deferred`` — a looping trace whose every memory access is a
+      frame word: no other access can observe a slot, so stores update
+      the local only and the exits flush them;
+    * ``preload`` — the slots a looping trace loads at entry and keeps
+      current across iterations: those the body accesses after its last
+      non-frame store (all of them when it has none).
+
+    ``aliased`` says whether a non-frame store in the trace forgets a
+    known slot.
     """
-    base: int | None = None
-    slots: dict[int, bool] = {}
     instrs = [dec for _off, dec, role, _aux in steps if role == "i"]
-    for dec in instrs:
-        op = dec[0]
-        if op in (OP_LWZ, OP_STW):
-            ra = dec[2]
-            if ra == 0:
-                return None
-            if base is None:
-                base = ra
-            elif ra != base:
-                return None
-            disp = dec[4]
-            slots[disp] = slots.get(disp, False) or (op == OP_STW)
-        elif op in (OP_LBZ, OP_STB):
-            return None
-    if base is None or len(slots) > TRACE_MAX_SLOTS:
-        return None
-    for dec in instrs:
-        op, rd = dec[0], dec[1]
-        if rd == base and (
-            op in _WRITES_RD or (op == OP_XO and dec[4] != XO_CMP)
-        ):
-            return None
-    return base, tuple(sorted(slots.items()))
+    counts: dict[int, int] = {}
+    written: set[int] = set()
+    for op, rd, ra, _rb, imm in instrs:
+        if (op == OP_LWZ or op == OP_STW) and ra and not imm & 3:
+            counts[ra] = counts.get(ra, 0) + 1
+        if op in _WRITES_RD or (op == OP_XO and imm != XO_CMP):
+            written.add(rd)
+    for reg in written:
+        counts.pop(reg, None)
+    if not counts:
+        return None, False
+    base = min(counts, key=lambda reg: (-counts[reg], reg))
+
+    slots: set[int] = set()
+    tail: set[int] = set()  # slots accessed since the last other store
+    writes = stores = loads = aliased = False
+    for op, _rd, ra, _rb, imm in instrs:
+        if (op == OP_LWZ or op == OP_STW) and ra == base and not imm & 3:
+            slots.add(imm)
+            tail.add(imm)
+            writes = writes or op == OP_STW
+        elif op == OP_STW or op == OP_STB:
+            # It forgets every slot accessed before it.
+            aliased = aliased or bool(slots)
+            stores = True
+            tail = set()
+        elif op == OP_LWZ or op == OP_LBZ:
+            loads = True
+    preload = tuple(sorted(tail)) if looping else ()
+    # The first store of a looping trace also forgets the preloaded slots.
+    aliased = aliased or (stores and bool(preload))
+    deferred = looping and not stores and not loads
+    return (base, tuple(sorted(slots)), writes, deferred, preload), aliased
 
 
-def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
+def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
     """Python source of the factory producing one trace's ``run`` closure.
 
     ``run(core, regs, budget) -> (next_pc, executed)``.  The dispatcher
     only calls it with ``budget >= count``; a looping trace batches full
     iterations while ``n + count <= budget`` still holds.  A return of
-    ``(entry_pc, 0)`` means the promoted-slot entry guard failed and no
-    architectural state was touched.
+    ``(entry_pc, 0)`` means the frame guard failed and no architectural
+    state was touched.
     """
     offsets = [step[0] for step in steps]
     tkind, tdec, toff, taux = terminal
     if tkind != "fall":
         offsets.append(toff)
 
-    slots: list[tuple[int, str, bool]] = []
-    slot_names: dict[int, str] = {}
-    if promo is not None:
-        for index, (disp, written) in enumerate(promo[1]):
-            name = f"_s{index}"
-            slots.append((disp, name, written))
-            slot_names[disp] = name
-
-    em = _TraceEmitter(offsets, slot_names)
-    if promo is not None:
-        em.used[promo[0]] = True  # slot addresses come off the base reg
+    em = _TraceEmitter(offsets, frame)
+    guard = em.emit_frame_guard() if frame is not None else []
     for k, (off, dec, role, aux) in enumerate(steps):
         if role == "i":
             em.emit(k, dec)
@@ -701,6 +786,9 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
             pass  # internal unconditional branch: the path is baked in
         else:
             em.emit_guard(k, dec[1], role == "gt", aux)
+    # A looping trace's next iteration starts with the preloaded slots
+    # known, so they must still be current at the end of this one.
+    assert set(em.preload) <= em.known
 
     lines = em.lines
     if tkind == "fall":
@@ -757,31 +845,10 @@ def _generate_trace_source(steps, terminal, promo, count, looping) -> str:
         hoists.append("lr = core.lr")
         writebacks.append("core.lr = lr")
     flushes = [
-        f"pack(mem_data, _ea{index}, {name})"
-        for index, (_disp, name, written) in enumerate(slots)
-        if written
+        f"pack(mem_data, {em.slot_ea(disp)}, {em.slots[disp]})"
+        for disp in sorted(em.stored)
     ]
     exits = flushes + writebacks
-
-    # Promoted-slot entry guard: fixed effective addresses, all aligned,
-    # each inside one fast range — else bail before touching anything.
-    guard: list[str] = []
-    if slots:
-        base = promo[0]
-        for index, (disp, _name, _written) in enumerate(slots):
-            guard.append(f"_ea{index} = (r{base} + {disp}) & 0xFFFFFFFF")
-        ors = " | ".join(f"_ea{index}" for index in range(len(slots)))
-        guard.append(f"if ({ors}) & 3:")
-        guard.append("    return entry_pc, 0")
-        for index, (_disp, _name, written) in enumerate(slots):
-            ranges = "write_ranges" if written else "read_ranges"
-            guard.append(f"for lo, hi in {ranges}:")
-            guard.append(f"    if lo <= _ea{index} < hi:")
-            guard.append("        break")
-            guard.append("else:")
-            guard.append("    return entry_pc, 0")
-        for index, (_disp, name, _written) in enumerate(slots):
-            guard.append(f"{name} = unpack(mem_data, _ea{index})[0]")
 
     out = [
         "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
@@ -1168,13 +1235,15 @@ def _factory_for(words: tuple[int, ...]):
     return _load_factory("block", words, f"<rx32-block[{len(words)}]>", generate)
 
 
-def _trace_factory_for(steps, terminal, promo, count, looping):
-    key = (steps, terminal, promo, count, looping)
+def _trace_factory_for(steps, terminal, frame, count, looping):
+    # The frame decision is part of the key: the generator is a pure
+    # function of it, so a changed decision never hits a stale entry.
+    key = (steps, terminal, frame, count, looping)
     return _load_factory(
         "trace",
         key,
         f"<rx32-trace[{count}]>",
-        lambda: _generate_trace_source(steps, terminal, promo, count, looping),
+        lambda: _generate_trace_source(steps, terminal, frame, count, looping),
     )
 
 
@@ -1412,11 +1481,12 @@ class TraceEngine(BlockEngine):
     entry is hot, the profiled path is stitched into a superblock trace
     and dispatched as one closure call — side-exit guards return control
     to block dispatch whenever a stitched branch goes the unprofiled
-    way, and a failed promoted-slot entry guard retires the trace
-    without touching any architectural state.
+    way, and a failed frame guard retires the trace without touching
+    any architectural state.
     """
 
-    __slots__ = ("traces", "_prof", "traces_compiled", "trace_bailouts")
+    __slots__ = ("traces", "_prof", "traces_compiled", "traces_aliased",
+                 "trace_bailouts")
 
     def __init__(self, machine: "Machine") -> None:
         super().__init__(machine)
@@ -1426,6 +1496,9 @@ class TraceEngine(BlockEngine):
         #: entry pc → [execution count, {successor pc: count}]
         self._prof: dict[int, list] = {}
         self.traces_compiled = 0
+        #: compiled traces whose code forgets known frame slots at a
+        #: store that may alias one (see ``_TraceEmitter``)
+        self.traces_aliased = 0
         self.trace_bailouts = 0
 
     def invalidate(self) -> None:
@@ -1440,12 +1513,13 @@ class TraceEngine(BlockEngine):
     def _plan_trace(self, entry_pc: int):
         """Stitch the profiled hot path headed at *entry_pc*.
 
-        Returns ``(steps, terminal, promo, count, looping)`` for the
-        generator, or ``None`` when no worthwhile trace exists.  Each
-        step is ``(byte_off, decoded, role, aux)`` with role ``"i"``
-        (straight-line), ``"s"`` (internal unconditional branch) or
-        ``"gt"``/``"gf"`` (guard, predicted taken / fall-through, with
-        the side-exit offset in ``aux``).
+        Returns ``(steps, terminal, frame, count, looping, aliased)``
+        (the first five for the generator, ``frame`` and ``aliased``
+        from :func:`_analyze_frame`), or ``None`` when no worthwhile
+        trace exists.  Each step is ``(byte_off, decoded, role, aux)``
+        with role ``"i"`` (straight-line), ``"s"`` (internal
+        unconditional branch) or ``"gt"``/``"gf"`` (guard, predicted
+        taken / fall-through, with the side-exit offset in ``aux``).
         """
         machine = self.machine
         code_base, code_end = machine.code_base, machine.code_end
@@ -1545,10 +1619,8 @@ class TraceEngine(BlockEngine):
             else:
                 terminal = ("bc", last, toff, (toff + 4 * last[4], toff + 4))
 
-        # Stack-slot promotion only pays inside a batched loop, where it
-        # removes the memory traffic from every iteration.
-        promo = _analyze_promotion(steps) if looping else None
-        return tuple(steps), terminal, promo, total, looping
+        frame, aliased = _analyze_frame(steps, looping)
+        return tuple(steps), terminal, frame, total, looping, aliased
 
     def _build_trace(self, entry_pc: int) -> None:
         with _trace.phase(_trace.PHASE_TRACE_COMPILE):
@@ -1556,11 +1628,14 @@ class TraceEngine(BlockEngine):
             if plan is None:
                 self.traces[entry_pc] = _NO_TRACE
                 return
-            steps, terminal, promo, count, looping = plan
-            factory = _trace_factory_for(steps, terminal, promo, count, looping)
+            steps, terminal, frame, count, looping, aliased = plan
+            factory = _trace_factory_for(steps, terminal, frame, count, looping)
             self.traces[entry_pc] = (count, self._instantiate(factory, entry_pc))
             self.traces_compiled += 1
             _trace.add_counter("traces_compiled", 1)
+            if aliased:
+                self.traces_aliased += 1
+                _trace.add_counter("traces_aliased", 1)
             _trace.add_counter("trace_instructions", count)
 
     # -- dispatch ----------------------------------------------------------
@@ -1613,7 +1688,7 @@ class TraceEngine(BlockEngine):
                             executed += ran
                             pc = new_pc
                             continue
-                        # Entry guard bailed: nothing ran.  Retire the
+                        # Frame guard bailed: nothing ran.  Retire the
                         # trace — block dispatch owns this PC until the
                         # next invalidation.
                         self.traces[pc] = _NO_TRACE

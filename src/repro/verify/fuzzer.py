@@ -115,6 +115,10 @@ class FuzzReport:
     record_campaigns: int = 0
     total_runs: int = 0
     extrapolated_runs: int = 0       # hangs a compiled engine ended at the cycle
+    #: state-tier traces whose code forgets cached frame slots at a store
+    #: that may alias one; a diagnostic of the programs this invocation
+    #: ran (not journaled, so journal bytes stay as they were)
+    aliased_traces: int = 0
     skipped_faults: int = 0
     elapsed: float = 0.0
     stopped_early: bool = False
@@ -130,7 +134,7 @@ class FuzzReport:
             f"verify fuzz: seed={self.seed} programs={self.programs} "
             f"state-cases={self.state_cases} record-campaigns={self.record_campaigns} "
             f"runs={self.total_runs} extrapolated={self.extrapolated_runs} "
-            f"elapsed={self.elapsed:.1f}s"
+            f"aliased={self.aliased_traces} elapsed={self.elapsed:.1f}s"
             + (" (stopped early: budget)" if self.stopped_early else ""),
         ]
         if self.resumed_programs:
@@ -532,6 +536,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
 
     report.total_runs += oracle.runs
     report.extrapolated_runs += oracle.extrapolated
+    report.aliased_traces += oracle.aliased
 
 
 # ---------------------------------------------------------------------------

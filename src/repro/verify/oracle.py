@@ -121,8 +121,10 @@ def run_state(executable, spec: MachineFault | None, case: InputCase, *,
 
 def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
                budget: int, engine: str,
-               quantum: int = 64) -> tuple[StateDigest, bool]:
-    """:func:`run_state`, plus whether the run ended a hang at its cycle."""
+               quantum: int = 64) -> tuple[StateDigest, bool, int]:
+    """:func:`run_state`, plus whether the run ended a hang at its cycle
+    and how many of its traces forget cached frame slots at a store that
+    may alias one (``TraceEngine.traces_aliased``)."""
     machine = boot(executable, inputs=dict(case.pokes), engine=engine)
     session = InjectionSession(machine)
     fault_id = spec.fault_id if spec is not None else "none"
@@ -130,7 +132,8 @@ def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
         session.arm(spec)
     result = session.run(budget, quantum=quantum)
     digest = machine_digest(machine, result, session, fault_id)
-    return digest, session.cycle is not None
+    aliased = getattr(machine.block_engine, "traces_aliased", 0)
+    return digest, session.cycle is not None, aliased
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,8 @@ class DifferentialOracle:
         self.runs = 0
         #: runs whose hang ended at its cycle (compared like any other)
         self.extrapolated = 0
+        #: state-tier traces that forget cached frame slots at a store
+        self.aliased = 0
 
     # -- state tier ------------------------------------------------------
 
@@ -222,11 +227,12 @@ class DifferentialOracle:
         fault_id = spec.fault_id if spec is not None else "golden"
         digests: dict[str, StateDigest] = {}
         for engine in self.state_engines:
-            digests[engine], extrapolated = _run_state(
+            digests[engine], extrapolated, aliased = _run_state(
                 self.compiled.executable, spec, case, budget=budget, engine=engine
             )
             self.runs += 1
             self.extrapolated += extrapolated
+            self.aliased += aliased
         base_engine = self.state_engines[0]
         base = digests[base_engine]
         for engine in self.state_engines[1:]:

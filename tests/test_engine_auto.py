@@ -218,6 +218,32 @@ class TestEmitterFingerprint:
         assert blocks._emitter_fingerprint() == before
 
 
+    def test_the_frame_decision_is_part_of_the_trace_key(self, tmp_path,
+                                                         monkeypatch):
+        # A disk entry emitted while traces had no frame slots must not
+        # be served to traces that have them: the frame decision is in
+        # the trace factory's key, so the second run emits afresh.
+        monkeypatch.setenv("REPRO_CODE_CACHE", str(tmp_path))
+        compiled = compile_source(TestMemoKeysIgnoreTheEngine.SOURCE,
+                                  "frame-key")
+
+        def traces_with_frames():
+            monkeypatch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            machine = boot(compiled.executable, inputs={"in_n": 200},
+                           engine=ENGINE_TRACE)
+            assert machine.run().status == "exited"
+            runs = [run for _count, run in machine.block_engine.traces.values()
+                    if run is not None]
+            assert runs
+            return sum("_s0" in run.__code__.co_varnames for run in runs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "_analyze_frame",
+                          lambda steps, looping: (None, False))
+            assert traces_with_frames() == 0
+        assert traces_with_frames() > 0
+
+
 class TestMemoKeysIgnoreTheEngine:
     SOURCE = """
     int in_n;

@@ -605,14 +605,16 @@ class TestCompiledMemoryAccessEdges:
         assert readable == writable + [(0x1000, 0x1000 + 4 * 33)]
 
 
-def _slow_path_calls(executable, inputs, *, inline=True):
+def _slow_path_calls(executable, inputs, *, inline=True, frames=True):
     """Slow-path calls in one ``trace`` run of *executable*.
 
     With ``inline=False`` every emitted inline test reads ``False``, so
-    every compiled access calls the slow path: the count is then the
-    run's number of compiled memory accesses.  Traces form and bail from
-    branch profiles and the promoted-slot guard, which never consult the
-    inline test, so both runs compile the same closures.
+    every compiled access that takes one calls the slow path: the count
+    is then the run's number of compiled memory accesses other than
+    frame slots, which take no such test.  With ``frames=False`` as well
+    no trace has a frame, so the count covers every compiled access.
+    Traces form and bail from branch profiles and the frame guard, which
+    never consult the inline test, so these runs compile the same traces.
     """
     calls = 0
     original = blocks._memory_slow_path
@@ -633,17 +635,31 @@ def _slow_path_calls(executable, inputs, *, inline=True):
         patch.setattr(blocks, "_memory_slow_path", counting)
         if not inline:
             patch.setattr(blocks._Emitter, "_inline", lambda self, word: "False")
+        if not frames:
+            patch.setattr(blocks, "_analyze_frame",
+                          lambda steps, looping: (None, False))
         machine = boot(executable, inputs=inputs, engine=ENGINE_TRACE)
         result = machine.run(max_instructions=50_000_000)
     assert result.status == "exited"
     return calls
 
 
+def _camelot_golden_run():
+    from repro.workloads import get_workload
+
+    workload = get_workload("C.team1")
+    case = workload.make_cases(1, seed=2000)[0]
+    return workload.compiled().executable, dict(case.pokes)
+
+
 class TestSlowPathShare:
-    """How many compiled accesses the slow path serves, pinned.
+    """How many compiled accesses the slow path and the frame slots
+    serve, pinned.
 
     Binding empty or stale ranges would send accesses to the slow path
-    without changing any record; only this count notices.
+    without changing any record, and a frame guard that always bails
+    would send every frame slot back to the inline test; only these
+    counts notice.
     """
 
     def _share(self, executable, inputs):
@@ -651,23 +667,29 @@ class TestSlowPathShare:
         return _slow_path_calls(executable, inputs), compiled
 
     def test_camelot_golden_run(self):
-        from repro.workloads import get_workload
-
-        workload = get_workload("C.team1")
-        case = workload.make_cases(1, seed=2000)[0]
-        slow, compiled = self._share(workload.compiled().executable,
-                                     dict(case.pokes))
-        # A third of the run's 2.54 M instructions are compiled loads
-        # and stores, all to the stack or the data segment.
-        assert compiled > 800_000
+        slow, compiled = self._share(*_camelot_golden_run())
+        # The run's compiled loads and stores that are not frame slots,
+        # 328 k of them, all reach the stack or the data segment.
+        assert compiled > 300_000
         assert slow / compiled == 0.0
+
+    def test_camelot_frame_slot_share(self):
+        executable, inputs = _camelot_golden_run()
+        tested = _slow_path_calls(executable, inputs, inline=False)
+        every = _slow_path_calls(executable, inputs, inline=False,
+                                 frames=False)
+        # Frame slots serve 547 k of the 876 k compiled loads and stores.
+        assert every > 800_000
+        assert 1 - tested / every > 0.55
 
     def test_memory_loop(self):
         from benchmarks.test_machine_throughput import MEMORY_LOOP
 
         executable = compile_source(MEMORY_LOOP, "memory-loop").executable
         slow, compiled = self._share(executable, {})
-        assert compiled > 150_000
+        # Only the array accesses take the inline test: i and j are
+        # frame slots.
+        assert compiled > 30_000
         assert slow / compiled == 0.0
 
 
@@ -697,3 +719,208 @@ class TestInlineBoundSabotage:
         for address in ends:
             for op in _OPS:
                 assert_engines_identical(_probe_states(op, address, 3, 1))
+
+
+# ---------------------------------------------------------------------------
+# Frame slots in traces: the entry guard, aliasing, and their sabotage
+# ---------------------------------------------------------------------------
+
+
+def _frame_source(good: int, second: int, aliased: bool) -> str:
+    """Two passes through a loop whose frame is ``-8(r12)`` and ``8(r12)``.
+
+    The first pass runs with ``r12 = good`` and forms a looping trace;
+    the second enters that trace with ``r12 = second``.  With *aliased*
+    the loop also stores into this core's stack through another base, so
+    the trace writes its frame stores through instead of deferring them.
+    The code between two entries of the loop and the loop body are eight
+    instructions each, so on a 4-core machine every 64-instruction turn
+    starts at the loop head, where the trace is entered.
+    """
+    pad = "ori r8, r8, 0"
+    lines = [
+        f"addis r12, r0, {good >> 16}",
+        f"ori r12, r12, {good & 0xFFFF}",
+        f"addis r13, r0, {second >> 16}",
+        f"ori r13, r13, {second & 0xFFFF}",
+        "addi r14, r1, -64",
+        "addi r20, r0, 1",        # passes left after this one
+        "outer:",
+        "addi r11, r0, 40",
+        "b inner",
+        "inner:",
+        "lwz r10, -8(r12)",
+        "addi r10, r10, 1",
+        "stw r10, 0(r14)" if aliased else pad,
+        "stw r10, 8(r12)",
+        "addi r11, r11, -1",
+        "cmpi r11, 0",
+        pad,
+        "bc gt, inner",
+        "addi r12, r13, 0",
+        "addi r20, r20, -1",
+        "cmpi r20, 0",
+        pad,
+        pad,
+        "bc ge, outer",
+        "sc 0",
+    ]
+    return "\n".join(lines)
+
+
+def _frame_states(good, second, aliased, num_cores):
+    """Final state (with the trap's kind, pc, core and address) per
+    engine, and the trace engine's machine."""
+    from repro.isa import assemble_text
+    from repro.machine import Executable
+
+    program = assemble_text(_frame_source(good, second, aliased), base=0x1000)
+    executable = Executable(code=program.code, entry=0x1000,
+                            symbols=program.symbols)
+    states = []
+    for engine in ENGINES:
+        machine = boot(executable, num_cores=num_cores, engine=engine)
+        result = machine.run(max_instructions=100_000)
+        state = final_state(machine, result)
+        trap = result.trap
+        if trap is not None:
+            state["trap_at"] = (trap.kind, trap.pc, trap.core_id, trap.address)
+        states.append(state)
+    return states, machine, executable.symbols["inner"]
+
+
+def _edge_bases(num_cores: int, edge: str) -> tuple[int, int]:
+    """The base that puts a frame slot on the first or last word of the
+    stacks, and the base one word further out."""
+    machine = boot(_probe_executable("lwz", 0, 3), num_cores=num_cores)
+    start, end = machine.access_ranges()[1][0]
+    if edge == "high":
+        return end - 4 - 8, end - 8   # slot 8(r12) on the last word
+    return start + 8, start + 4       # slot -8(r12) on the first word
+
+
+class TestFrameGuardEdges:
+    """A frame on the first or last word of the stacks passes the guard;
+    one word further out, the guard bails and block dispatch traps
+    exactly as ``simple`` does."""
+
+    @pytest.mark.parametrize("num_cores", [1, 4])
+    @pytest.mark.parametrize("edge", ["high", "low"])
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_guard_at_the_stack_edges(self, num_cores, edge, aliased):
+        inside, outside = _edge_bases(num_cores, edge)
+        states, machine, inner = _frame_states(inside, inside, aliased,
+                                               num_cores)
+        assert states[0]["status"] == "exited"
+        assert_engines_identical(states)
+        engine = machine.block_engine
+        assert engine.trace_bailouts == 0
+        assert engine.traces[inner][1] is not None
+
+        states, machine, inner = _frame_states(inside, outside, aliased,
+                                               num_cores)
+        assert states[0]["trap_at"][0] == "memory-fault"
+        assert_engines_identical(states)
+        engine = machine.block_engine
+        assert engine.trace_bailouts == 1
+        assert engine.traces[inner][1] is None
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_a_heap_frame_passes_the_guard(self, aliased):
+        # The base need not point into the stacks: the guard walks the
+        # other ranges when the bound stack range misses.
+        from repro.machine import HEAP_BASE
+
+        states, machine, inner = _frame_states(HEAP_BASE + 64, HEAP_BASE + 64,
+                                               aliased, 1)
+        assert states[0]["status"] == "exited"
+        assert_engines_identical(states)
+        engine = machine.block_engine
+        assert engine.trace_bailouts == 0
+        assert engine.traces[inner][1] is not None
+
+
+ALIAS_SOURCE = """
+void main() {
+    int x; int s; int i; int *p;
+    x = 0; s = 0; p = &x;
+    for (i = 0; i < 200; i = i + 1) { x = x + 1; *p = *p + 2; s = s + x; }
+    print_int(s);
+    exit(0);
+}
+"""
+
+
+def _alias_states():
+    compiled = compile_source(ALIAS_SOURCE, "alias")
+    states = run_engines(compiled)
+    machine = boot(compiled.executable, engine=ENGINE_TRACE)
+    machine.run()
+    return states, machine.block_engine
+
+
+class TestFrameSlotAliasing:
+    def test_a_store_through_a_pointer_to_a_local(self):
+        states, engine = _alias_states()
+        assert states[0]["console"] == b"60300"
+        assert_engines_identical(states)
+        # The loop ran as a trace that forgets x at the store to *p.
+        assert engine.traces_aliased > 0
+
+
+def _keep_cached_slots(patch):
+    """Sabotage: a store that may alias a frame slot forgets nothing."""
+    store_word = blocks._TraceEmitter._emit_store_word
+
+    def sabotaged(self, k, rd, ra, imm):
+        known = set(self.known)
+        store_word(self, k, rd, ra, imm)
+        self.known |= known
+
+    patch.setattr(blocks._TraceEmitter, "_emit_store_word", sabotaged)
+    patch.setattr(blocks._TraceEmitter, "_emit_store_byte",
+                  blocks._Emitter._emit_store_byte)
+
+
+def _short_upper_bound(patch):
+    """Sabotage: the frame guard's upper bound lets one more word in."""
+    guard = blocks._TraceEmitter.emit_frame_guard
+
+    def sabotaged(self):
+        lines = guard(self)
+        self.prelude = [line + " + 4" if line.startswith("_fhi = ") else line
+                        for line in self.prelude]
+        return lines
+
+    patch.setattr(blocks._TraceEmitter, "emit_frame_guard", sabotaged)
+
+
+class TestFrameSlotSabotage:
+    """Each sabotage of the frame slots shows, and undoing it restores
+    identical state."""
+
+    def _sabotaged(self, sabotage, states):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CODE_CACHE", "off")
+            patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            sabotage(patch)
+            return states()
+
+    def test_keeping_slots_across_an_aliasing_store_is_caught(self):
+        states = lambda: _alias_states()[0]
+        simple, block, trace = self._sabotaged(_keep_cached_slots, states)
+        assert simple["console"] == b"60300"
+        assert block == simple and trace != simple
+        assert_engines_identical(states())
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_a_short_upper_bound_is_caught(self, aliased):
+        inside, outside = _edge_bases(1, "high")
+
+        def states():
+            return _frame_states(inside, outside, aliased, 1)[0]
+
+        simple, block, trace = self._sabotaged(_short_upper_bound, states)
+        assert simple["trap_at"][0] == "memory-fault"
+        assert block == simple and trace != simple
+        assert_engines_identical(states())

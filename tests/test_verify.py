@@ -364,6 +364,30 @@ class TestTraceGuardMutation:
         assert trace == simple
 
 
+class TestFrameAliasMutation:
+    """The fuzzer must catch a trace that keeps its cached frame slots
+    across a store through a pointer to a local."""
+
+    def test_fuzzer_catches_kept_frame_slots(self):
+        from tests.test_engine_equivalence import _keep_cached_slots
+
+        # The state tier's golden run of the first generated program with
+        # such a store catches it; the record tier, which would only
+        # repeat that on every configuration, is left out to save time.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            _keep_cached_slots(patch)
+            report = run_fuzz(FuzzConfig(seed=0, cases=200, record_tier=False,
+                                         max_divergences=1, shrink=False))
+            assert not report.ok(), "kept frame slots went undetected"
+            assert report.divergences[0].tier == "state"
+        # The same campaign agrees on every program it reached once the
+        # sabotage is reverted.
+        report = run_fuzz(FuzzConfig(seed=0, cases=report.state_cases,
+                                     record_tier=False))
+        assert report.ok() and report.aliased_traces > 0
+
+
 @contextlib.contextmanager
 def overshooting_fast_forward():
     """Sabotage the hang extrapolation: one period too many is skipped."""
