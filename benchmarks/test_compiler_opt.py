@@ -9,9 +9,9 @@ published to ``results/BENCH_compiler_opt.{json,txt}``:
   long-running Camelot team cannot mask a regression in the others; the
   pooled total is recorded alongside);
 * **same observables** — console bytes and exit code are bit-identical
-  between the two levels on every execution engine (simple, block,
-  trace); the optimizer's whole correctness story is "same observables,
-  fewer instructions";
+  between the two levels on every execution engine (simple, trace);
+  the optimizer's whole correctness story is "same observables, fewer
+  instructions";
 * **cheaper campaigns** — a small fig7-style assignment campaign against
   the O1 binary finishes no slower than against O0 (wall-clocks for both
   are recorded; the floor is deliberately loose since the campaign is
@@ -26,13 +26,12 @@ import random
 import time
 
 from repro.emulation.rules import generate_error_set
-from repro.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINE_TRACE, boot
+from repro.machine import ENGINE_SIMPLE, ENGINES, boot
 from repro.swifi import CampaignConfig, CampaignRunner
 from repro.workloads import all_workloads, get_workload
 
 RETIRED_FLOOR = float(os.environ.get("REPRO_OPT_RETIRED_FLOOR", "0.30"))
 RUN_BUDGET = 50_000_000
-ENGINES = (ENGINE_SIMPLE, ENGINE_BLOCK, ENGINE_TRACE)
 CAMPAIGN_PROGRAM = "JB.team6"
 
 

@@ -134,7 +134,6 @@ from .srcfi import (
 from .swifi import (
     CAMPAIGN_ENGINES,
     ENGINE_AUTO,
-    ENGINE_BLOCK,
     ENGINE_SIMPLE,
     ENGINE_TRACE,
     ENGINES,
@@ -264,7 +263,6 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "CAMPAIGN_ENGINES",
     "ENGINE_AUTO",
-    "ENGINE_BLOCK",
     "ENGINE_SIMPLE",
     "ENGINE_TRACE",
     "ENGINES",

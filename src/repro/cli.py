@@ -663,9 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "trigger instead of rebooting per run (auto), "
                               "or cross-check both paths (verify); outcomes "
                               "are bit-identical to off")
-    _add_engine_flag(figures, "machine execution engine: 'block' compiles "
-                     "basic blocks into Python closures, 'trace' also "
-                     "stitches hot paths into superblocks")
+    _add_engine_flag(figures, "machine execution engine: 'simple' is the "
+                     "reference interpreter, 'trace' compiles basic blocks "
+                     "into Python closures and stitches hot paths into "
+                     "superblocks")
     figures.add_argument("--trace", action="store_true",
                          help="record per-run span traces (phase timings, "
                               "snapshot fast-path accounting) into the journal "

@@ -184,10 +184,10 @@ def run_section6(
     (off / auto / verify); outcomes are bit-identical either way.
     ``trace`` records per-run span traces into each campaign's journal
     and telemetry (``repro trace report <journal_dir>`` reads them back).
-    ``engine`` picks the machine execution engine (simple / block /
-    trace); the default ``"auto"`` runs each single-core program on
-    trace and the multi-core SOR on simple.  The compiled engines are
-    faster but bit-identical, so figures never change.
+    ``engine`` picks the machine execution engine (simple / trace);
+    the default ``"auto"`` runs each single-core program on trace and
+    the multi-core SOR on simple.  The compiled engine is faster but
+    bit-identical, so figures never change.
     ``prune``/``memoize``/``memo_dir``/``plan_verify`` drive the campaign
     planner (:mod:`repro.planning`): statically pruned and memoized runs
     synthesize their records without booting, bit-identical by

@@ -1,12 +1,15 @@
-"""Block-compiling execution engine: superinstruction closures for RX32.
+"""The compiled engine (``trace``): block and trace closures for RX32.
 
 The per-instruction interpreter in :mod:`repro.machine.cpu` pays fetch,
 bounds check, decode-cache lookup and a long if/elif dispatch for every
 retired instruction.  Campaign throughput lives in that loop, so this
-module trades a one-time compilation cost for straight-line execution:
+module trades a one-time compilation cost for straight-line execution.
+:class:`TraceEngine` runs two tiers over one dispatch loop.
 
-* :class:`BlockEngine` scans ``Machine.code_words`` into **basic blocks**
-  — runs of straight-line instructions terminated by a branch
+**The block tier** is what every PC starts on:
+
+* ``Machine.code_words`` is scanned into **basic blocks** — runs of
+  straight-line instructions terminated by a branch
   (``b``/``bl``/``blr``/``bc``), cut before ``sc``/``trap`` and before
   any PC carrying a fetch watch;
 * a block's first entry runs in the interpreter; its second compiles it
@@ -28,6 +31,23 @@ module trades a one-time compilation cost for straight-line execution:
   quantum while any data watch or one-shot load/store transform is
   armed — so every fault-injection hook keeps bit-identical semantics.
 
+**The trace tier** rides on block dispatch: it profiles block-entry
+execution counts and branch outcomes during warmup, chains hot blocks
+across predictable branches into **superblock traces** (the profiled
+path, guarded by cheap side-exits that fall back to block dispatch),
+batches self-looping traces into a budget-bounded inner loop, and keeps
+each trace's **frame slots** — the words at constant offsets from one
+base register the trace never writes — in Python locals.  One guard per
+trace entry proves the base aligned and every slot inside one mapped
+range; after it, a slot the trace has already loaded or stored is a
+copy of its local, and a first load or a store needs no range test.
+Stores write through to memory (a looping trace whose only accesses are
+frame words defers them to its exits), and any other store forgets the
+cached slots, since it may alias one.  A trace closure returns
+``(next_pc, executed)``; ``executed == 0`` signals a failed frame guard
+and nothing has run.  A block that never becomes part of a trace still
+runs compiled.
+
 Compiled closures are invalidated by a generation check at every
 ``run_quantum`` entry and after every fetch-watch step: the machine's
 ``_code_gen`` counter (bumped by ``debug_write_code`` and by snapshot
@@ -39,33 +59,17 @@ the memory's segment version, and the literal fetch-watch address set
 The Python *code objects* are cached at module level keyed by the raw
 word tuple — a campaign boots a fresh machine per injection run, so
 per-machine instantiation must be cheap: it is one factory call per
-block, not a re-``compile()``.  The module cache is a bounded LRU
-(:class:`FactoryCache`) backed by an on-disk tier keyed by a content
+block or trace, not a re-``compile()``.  The module cache is a bounded
+LRU (:class:`FactoryCache`) backed by an on-disk tier keyed by a content
 hash of the emitted code, so repeated campaign boots of the same binary
 — including the orchestrator's fresh worker processes — skip source
 generation *and* ``compile()`` entirely.
 
-:class:`TraceEngine` builds on block dispatch with a trace-compiling
-tier: it profiles block-entry execution counts and branch outcomes
-during warmup, chains hot blocks across predictable branches into
-**superblock traces** (the profiled path, guarded by cheap side-exits
-that fall back to block dispatch), batches self-looping traces into a
-budget-bounded inner loop, and keeps each trace's **frame slots** — the
-words at constant offsets from one base register the trace never writes
-— in Python locals.  One guard per trace entry proves the base aligned
-and every slot inside one mapped range; after it, a slot the trace has
-already loaded or stored is a copy of its local, and a first load or a
-store needs no range test.  Stores write through to memory (a looping
-trace whose only accesses are frame words defers them to its exits), and
-any other store forgets the cached slots, since it may alias one.  A
-trace closure returns ``(next_pc, executed)``; ``executed == 0`` signals
-a failed frame guard and nothing has run.
-
 Correctness contract (enforced by ``tests/test_engine_equivalence.py``):
 for any program and any fault from the paper's Table-3 classes, the
-block engine retires the same instructions, produces the same register
-file, memory image, console and trap (with identical pc/core attribution
-and retired-instruction count) as the simple interpreter.
+compiled engine retires the same instructions, produces the same
+register file, memory image, console and trap (with identical pc/core
+attribution and retired-instruction count) as the simple interpreter.
 """
 
 from __future__ import annotations
@@ -1247,8 +1251,19 @@ def _trace_factory_for(steps, terminal, frame, count, looping):
     )
 
 
-class BlockEngine:
-    """Per-machine block cache + dispatch loop (see module docstring)."""
+class TraceEngine:
+    """Per-machine compiled engine: a block tier under a trace tier (see
+    the module docstring).
+
+    Block dispatch runs each basic block as one closure call (its first
+    entry in the interpreter), and every block execution counts its
+    entry PC and the observed successor.  Once an entry is hot, the
+    profiled path is stitched into a superblock trace and dispatched as
+    one closure call — side-exit guards return control to block dispatch
+    whenever a stitched branch goes the unprofiled way, and a failed
+    frame guard retires the trace without touching any architectural
+    state.
+    """
 
     __slots__ = (
         "machine",
@@ -1258,6 +1273,11 @@ class BlockEngine:
         "compiled",
         "invalidated",
         "_binding",
+        "traces",
+        "_prof",
+        "traces_compiled",
+        "traces_aliased",
+        "trace_bailouts",
     )
 
     def __init__(self, machine: "Machine") -> None:
@@ -1275,15 +1295,29 @@ class BlockEngine:
         #: ``_bind_memory(machine)``, built on the first compile after
         #: every ``_sync`` that invalidated.
         self._binding: tuple | None = None
+        #: entry pc → (iteration instruction count, run closure); the
+        #: ``_NO_TRACE`` sentinel marks entries block dispatch owns.
+        self.traces: dict[int, tuple] = {}
+        #: entry pc → [execution count, {successor pc: count}]
+        self._prof: dict[int, list] = {}
+        self.traces_compiled = 0
+        #: compiled traces whose code forgets known frame slots at a
+        #: store that may alias one (see ``_TraceEmitter``)
+        self.traces_aliased = 0
+        self.trace_bailouts = 0
 
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every compiled block."""
+        """Drop every compiled block and trace, and the branch profile."""
         if self.blocks:
             self.invalidated += len(self.blocks)
             _trace.add_counter("blocks_invalidated", len(self.blocks))
             self.blocks.clear()
+        if self.traces:
+            _trace.add_counter("traces_invalidated", len(self.traces))
+            self.traces.clear()
+        self._prof.clear()
 
     def _sync(self) -> None:
         """Invalidate if code, watches or segments changed since last sync.
@@ -1359,154 +1393,6 @@ class BlockEngine:
         self.compiled += 1
         _trace.add_counter("blocks_compiled", 1)
         return entry
-
-    # -- dispatch ----------------------------------------------------------
-
-    def dispatch(self, core: "Core", limit: int) -> int:
-        """Execute up to *limit* instructions on *core*; return the count.
-
-        Identical contract to the interpreter's ``run_quantum``: executes
-        exactly *limit* instructions unless the core halts, blocks or
-        traps, and leaves ``core.pc`` / retired counters current at every
-        exit — partial quanta included.
-        """
-        machine = self.machine
-        self._sync()
-        blocks_get = self.blocks.get
-        simple = core._run_quantum_simple
-        regs = core.regs
-        executed = 0
-        # ``pc`` shadows ``core.pc`` and ``pending`` holds block-retired
-        # instructions not yet flushed to the architectural counters; both
-        # are synchronised before every interpreter excursion and on every
-        # exit, so observable state is exact at every boundary.  On a trap
-        # inside a block the closure's handler accounts for its own
-        # partial progress and sets ``core.pc``; the except arm below
-        # flushes the blocks that completed before it.
-        pending = 0
-        pc = core.pc
-        # Hooks can only become armed through interpreted steps (fetch
-        # handlers / callers outside run_quantum) — never by a compiled
-        # block, which is pure computation — so the armed check runs at
-        # entry and after every interpreter excursion, not per block.
-        check_hooks = True
-        try:
-            while executed < limit:
-                if check_hooks:
-                    if (
-                        machine._load_watch
-                        or machine._store_watch
-                        or core._load_transform is not None
-                        or core._store_transform is not None
-                    ):
-                        # Data watches / one-shot transforms hook
-                        # individual loads and stores: the interpreter
-                        # runs the remainder.
-                        core.pc = pc
-                        core.instret += pending
-                        machine.instret += pending
-                        pending = 0
-                        executed += simple(limit - executed)
-                        if core.halted or core.blocked:
-                            return executed
-                        pc = core.pc
-                        continue  # handlers may have disarmed; re-check
-                    check_hooks = False
-                entry = blocks_get(pc)
-                if entry is None:
-                    core.pc = pc
-                    if pc < machine.code_base or pc >= machine.code_end:
-                        core.instret += pending
-                        machine.instret += pending
-                        pending = 0
-                        executed += simple(limit - executed)  # fetch trap
-                        if core.halted or core.blocked:  # pragma: no cover
-                            return executed
-                        pc = core.pc  # pragma: no cover
-                        continue  # pragma: no cover
-                    entry = self._enter(pc)
-                elif entry[1] is None and entry[0]:
-                    entry = self._compile(pc, entry[0])  # second entry
-                count, run = entry
-                if count == 0:
-                    # sc / trap / illegal word / fetch watch on this PC:
-                    # one interpreted step runs it (applying any watch
-                    # handler), which may rewrite code or re-arm hooks —
-                    # re-validate both afterwards.
-                    core.pc = pc
-                    core.instret += pending
-                    machine.instret += pending
-                    pending = 0
-                    executed += simple(1)
-                    if core.halted or core.blocked:
-                        return executed
-                    self._sync()
-                    blocks_get = self.blocks.get
-                    check_hooks = True
-                    pc = core.pc
-                    continue
-                if run is None or count > limit - executed:
-                    # A block's first entry (its second compiles it, so
-                    # a block entered once costs no codegen), or one that
-                    # would overrun the quantum / pause budget: the
-                    # interpreter runs it, or the partial slice, exactly.
-                    core.pc = pc
-                    core.instret += pending
-                    machine.instret += pending
-                    pending = 0
-                    executed += simple(min(count, limit - executed))
-                    if core.halted or core.blocked:
-                        return executed
-                    pc = core.pc
-                    continue
-                pc = run(core, regs)
-                pending += count
-                executed += count
-            core.pc = pc
-            core.instret += pending
-            machine.instret += pending
-            pending = 0
-            return executed
-        except BaseException:
-            core.instret += pending
-            machine.instret += pending
-            raise
-
-
-class TraceEngine(BlockEngine):
-    """Block dispatch plus a trace-compiling tier (see module docstring).
-
-    Warmup profiling rides on the block dispatch loop: every block
-    execution counts its entry PC and the observed successor.  Once an
-    entry is hot, the profiled path is stitched into a superblock trace
-    and dispatched as one closure call — side-exit guards return control
-    to block dispatch whenever a stitched branch goes the unprofiled
-    way, and a failed frame guard retires the trace without touching
-    any architectural state.
-    """
-
-    __slots__ = ("traces", "_prof", "traces_compiled", "traces_aliased",
-                 "trace_bailouts")
-
-    def __init__(self, machine: "Machine") -> None:
-        super().__init__(machine)
-        #: entry pc → (iteration instruction count, run closure); the
-        #: ``_NO_TRACE`` sentinel marks entries block dispatch owns.
-        self.traces: dict[int, tuple] = {}
-        #: entry pc → [execution count, {successor pc: count}]
-        self._prof: dict[int, list] = {}
-        self.traces_compiled = 0
-        #: compiled traces whose code forgets known frame slots at a
-        #: store that may alias one (see ``_TraceEmitter``)
-        self.traces_aliased = 0
-        self.trace_bailouts = 0
-
-    def invalidate(self) -> None:
-        super().invalidate()
-        if self.traces:
-            _trace.add_counter("traces_invalidated", len(self.traces))
-            self.traces.clear()
-        self._prof.clear()
 
     # -- trace formation ---------------------------------------------------
 
@@ -1641,12 +1527,27 @@ class TraceEngine(BlockEngine):
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, core: "Core", limit: int) -> int:
-        """Block dispatch with a trace fast path and warmup profiling.
+        """Execute up to *limit* instructions on *core*; return the count.
 
-        Mirrors :meth:`BlockEngine.dispatch` exactly on the block path
-        (same contract, same pending-flush discipline); traces are tried
-        first for PCs that have one, and every block execution feeds the
-        branch profile that forms them.
+        Identical contract to the interpreter's ``run_quantum``: executes
+        exactly *limit* instructions unless the core halts, blocks or
+        traps, and leaves ``core.pc`` / retired counters current at every
+        exit — partial quanta included.  Traces are tried first for PCs
+        that have one, and every block execution feeds the branch
+        profile that forms them.
+
+        ``pc`` shadows ``core.pc`` and ``pending`` holds instructions
+        retired by closures but not yet flushed to the architectural
+        counters; both are synchronised before every interpreter
+        excursion and on every exit.  On a trap inside a closure its
+        handler accounts for its own partial progress and sets
+        ``core.pc``; the ``except`` arm flushes what completed before
+        it.  Data watches and one-shot load/store transforms hook
+        individual accesses, so while one is armed the interpreter runs
+        the rest of the quantum.  They can only become armed through
+        interpreted steps (fetch handlers, callers outside
+        ``run_quantum``), never by a closure, so the armed check runs at
+        entry and after every interpreter excursion, not per block.
         """
         machine = self.machine
         self._sync()
@@ -1777,7 +1678,6 @@ class TraceEngine(BlockEngine):
 
 
 __all__ = [
-    "BlockEngine",
     "TraceEngine",
     "FactoryCache",
     "factory_cache_stats",

@@ -178,10 +178,10 @@ class Core:
 
         Stops early when the core halts (exit syscall), blocks (barrier)
         or raises a trap.  Traps propagate to the caller with core/pc
-        context attached.  Dispatches to the machine's block-compiling
-        engine when one is configured (``Machine(engine="block")``); the
-        engine itself falls back to :meth:`_run_quantum_simple` around
-        every fault-injection hook.
+        context attached.  Dispatches to the machine's compiled engine
+        when one is configured (``Machine(engine="trace")``); the engine
+        itself falls back to :meth:`_run_quantum_simple` around every
+        fault-injection hook.
         """
         engine = self.machine.block_engine
         if engine is not None:

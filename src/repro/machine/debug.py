@@ -52,7 +52,7 @@ class DebugUnit:
         self._dabr: dict[int, DataHandler] = {}
         self._software_breakpoints: dict[int, tuple[int, FetchHandler]] = {}
         self.intrusive = False  # True once trap insertion has modified the program
-        # Bumped on every arm/disarm; the block engine keys its compiled-
+        # Bumped on every arm/disarm; the trace engine keys its compiled-
         # block cache on it (watched PCs are block boundaries).
         self.generation = 0
 

@@ -38,15 +38,14 @@ DEFAULT_QUANTUM = 64
 DEFAULT_BUDGET = 50_000_000
 
 # Execution engines (see cpu.py and blocks.py).  ``simple`` is the
-# per-instruction threaded interpreter; ``block`` compiles basic blocks
-# into specialized closures and falls back to ``simple`` around every
-# fault-injection hook, so outcomes are bit-identical between the two;
-# ``trace`` additionally chains hot blocks into superblock traces across
-# profiled-predictable branches (same bit-identical contract).
+# per-instruction threaded interpreter, the reference semantics;
+# ``trace`` compiles basic blocks into specialized closures, chains hot
+# blocks into superblock traces across profiled-predictable branches,
+# and falls back to ``simple`` around every fault-injection hook, so
+# outcomes are bit-identical between the two.
 ENGINE_SIMPLE = "simple"
-ENGINE_BLOCK = "block"
 ENGINE_TRACE = "trace"
-ENGINES = (ENGINE_SIMPLE, ENGINE_BLOCK, ENGINE_TRACE)
+ENGINES = (ENGINE_SIMPLE, ENGINE_TRACE)
 # Campaign-level choice (never a Machine's): see resolve_engine.
 ENGINE_AUTO = "auto"
 CAMPAIGN_ENGINES = (ENGINE_AUTO,) + ENGINES
@@ -126,11 +125,7 @@ class Machine:
         self._access_ranges_gen = -1
 
         self.engine = engine
-        if engine == ENGINE_BLOCK:
-            from .blocks import BlockEngine
-
-            self.block_engine = BlockEngine(self)
-        elif engine == ENGINE_TRACE:
+        if engine == ENGINE_TRACE:
             from .blocks import TraceEngine
 
             self.block_engine = TraceEngine(self)

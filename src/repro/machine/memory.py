@@ -63,7 +63,7 @@ class Memory:
         self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.segments: list[Segment] = []
         # Segment-layout version; consumers caching derived views of the
-        # segment list (Machine.access_ranges, the block engine) key on it.
+        # segment list (Machine.access_ranges, the trace engine) key on it.
         self._ranges_gen = 0
         # Pages touched through the debug port since the last snapshot
         # baseline.  Debug writes may land outside any segment (e.g. a

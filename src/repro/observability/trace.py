@@ -48,7 +48,7 @@ PHASE_SNAPSHOT_RESTORE = "snapshot-restore"
 PHASE_POST_TRIGGER = "post-trigger-execute"
 PHASE_EXECUTE = "execute"  # full fresh-boot execution (prefix + suffix)
 PHASE_CLASSIFY = "classify"
-PHASE_BLOCK_COMPILE = "block-compile"  # block engine compiling a basic block
+PHASE_BLOCK_COMPILE = "block-compile"  # trace engine compiling a basic block
 PHASE_TRACE_COMPILE = "trace-compile"  # trace engine stitching a superblock
 PHASE_PLAN_PROVE = "plan-prove"        # planner: golden access trace + rules
 PHASE_MEMO_LOOKUP = "memo-lookup"      # planner: outcome-memo key + lookup

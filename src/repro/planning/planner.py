@@ -122,7 +122,7 @@ class PlannerCache:
         fingerprint = self._case_fps.get(case.case_id)
         if fingerprint is None:
             # Boot state does not depend on the engine, so never build a
-            # block or trace engine just to hash.
+            # trace engine just to hash.
             machine = boot(
                 self.executable, num_cores=self.num_cores,
                 inputs=dict(case.pokes), engine=ENGINE_SIMPLE,

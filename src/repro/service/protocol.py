@@ -158,11 +158,18 @@ class CampaignOptions:
             raise ProtocolError(
                 f"wire version mismatch: got {version}, need {WIRE_VERSION}"
             )
+        engine = str(payload.get("engine", CampaignConfig.engine))
+        snapshot = str(payload.get("snapshot", "off"))
+        # Reject what no worker could run here, not at a worker's lease.
+        try:
+            CampaignConfig(engine=engine, snapshot=snapshot)
+        except ValueError as error:
+            raise ProtocolError(str(error)) from None
         return CampaignOptions(
             seed=int(payload.get("seed", 0)),
             shard_size=payload.get("shard_size"),
-            engine=str(payload.get("engine", CampaignConfig.engine)),
-            snapshot=str(payload.get("snapshot", "off")),
+            engine=engine,
+            snapshot=snapshot,
             trace=bool(payload.get("trace", False)),
             label=payload.get("label"),
             max_attempts=payload.get("max_attempts"),

@@ -193,7 +193,12 @@ class BrokerState:
             with open(manifest, "r", encoding="utf-8") as handle:
                 fingerprint = json.load(handle)
             with open(options_path, "r", encoding="utf-8") as handle:
-                options = CampaignOptions.from_dict(json.load(handle))
+                try:
+                    options = CampaignOptions.from_dict(json.load(handle))
+                except ProtocolError as error:
+                    raise ProtocolError(
+                        f"campaign {directory} cannot be recovered: {error}"
+                    ) from None
             with open(bundle_path, "r", encoding="utf-8") as handle:
                 bundle = CampaignBundle.from_blob(handle.read())
             campaign = _CampaignState(

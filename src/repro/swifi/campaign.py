@@ -30,7 +30,6 @@ from ..machine.loader import boot
 from ..machine.machine import (
     CAMPAIGN_ENGINES,
     ENGINE_AUTO,
-    ENGINE_BLOCK,
     ENGINE_SIMPLE,
     ENGINE_TRACE,
     ENGINES,
@@ -95,12 +94,12 @@ class CampaignConfig:
       journaled beside its record and aggregated into telemetry; read
       them back with ``repro trace report``;
     * ``engine`` — the machine's execution engine: ``"simple"`` is the
-      per-instruction interpreter, ``"block"`` the block-compiling engine
-      and ``"trace"`` the block engine plus superblock traces over hot
-      paths (:mod:`repro.machine.blocks`); both compiled engines are
-      faster and fall back to the interpreter around every
-      fault-injection hook.  The default, ``"auto"``, runs single-core
-      programs on ``"trace"`` and multi-core ones on ``"simple"``
+      per-instruction interpreter and ``"trace"`` the compiled engine,
+      which runs basic blocks as closures and hot paths as superblock
+      traces (:mod:`repro.machine.blocks`); it is faster and falls back
+      to the interpreter around every fault-injection hook.  The
+      default, ``"auto"``, runs single-core programs on ``"trace"`` and
+      multi-core ones on ``"simple"``
       (:func:`repro.machine.machine.resolve_engine`); the runner resolves
       it per program, so shard tasks, the planner and journals only see
       a concrete engine;

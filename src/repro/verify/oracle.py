@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..machine.loader import boot
-from ..machine.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINES
+from ..machine.machine import ENGINE_SIMPLE, ENGINES
 from ..swifi.campaign import (
     CampaignConfig,
     CampaignRunner,

@@ -26,8 +26,8 @@ Sampling is weighted toward the historically risky machine surfaces: the
 ``divw``/``modw`` trap accounting, loads/stores near memory-range edges,
 and trap-insertion mode (which the snapshot fast path must refuse).  A
 share of raw faults turn a ``for`` step into a no-op (``category
-"step"``): the shape of a stationary hang, whose run the compiled engines
-end at its cycle (:class:`repro.swifi.injector.CycleProbe`) while the
+"step"``): the shape of a stationary hang, whose run the compiled engine
+ends at its cycle (:class:`repro.swifi.injector.CycleProbe`) while the
 ``simple`` engine runs it to the budget.
 """
 

@@ -132,7 +132,16 @@ class TestFiguresChoiceValidation:
             main(["figures", "--engine", "bogus"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "simple" in err and "block" in err
+        assert "auto" in err and "simple" in err and "trace" in err
+
+    @pytest.mark.parametrize("command", [["figures"], ["submit", "http://h:1"]])
+    def test_block_is_not_an_engine(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--engine", "block"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'block'" in err
+        assert "auto" in err and "simple" in err and "trace" in err
 
     def test_bad_snapshot_exits_2_naming_choices(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -143,8 +152,8 @@ class TestFiguresChoiceValidation:
 
     def test_valid_choices_parse(self):
         args = build_parser().parse_args(
-            ["figures", "--engine", "block", "--snapshot", "verify"])
-        assert args.engine == "block"
+            ["figures", "--engine", "simple", "--snapshot", "verify"])
+        assert args.engine == "simple"
         assert args.snapshot == "verify"
 
     def test_trace_engine_parses_everywhere(self):

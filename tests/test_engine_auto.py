@@ -1,10 +1,10 @@
-"""The campaign default engine and the compiled engines' set-up costs.
+"""The campaign default engine and the compiled engine's set-up costs.
 
 ``CampaignConfig`` defaults to ``engine="auto"``: single-core programs
 run on the trace engine, multi-core ones on the interpreter, and every
-record stays bit-identical to ``engine="simple"``.  The compiled engines
-interpret a block's first entry and compile it on the second, and hash
-their code generators once per process.
+record stays bit-identical to ``engine="simple"``.  The compiled engine
+interprets a block's first entry and compiles it on the second, and
+hashes its code generators once per process.
 """
 
 import os
@@ -22,7 +22,6 @@ from repro.isa import assemble_text, ins
 from repro.lang import compile_source
 from repro.machine import (
     ENGINE_AUTO,
-    ENGINE_BLOCK,
     ENGINE_SIMPLE,
     ENGINE_TRACE,
     ENGINES,
@@ -93,6 +92,13 @@ class TestResolveEngine:
         with pytest.raises(ValueError, match="engine"):
             CampaignConfig(engine="warp")
 
+    def test_block_is_not_an_engine(self):
+        assert ENGINES == (ENGINE_SIMPLE, ENGINE_TRACE)
+        with pytest.raises(ValueError, match="must be one of"):
+            Machine(engine="block")
+        with pytest.raises(ValueError, match="must be one of.*'auto'"):
+            CampaignConfig(engine="block")
+
     def test_shard_tasks_name_a_concrete_engine(self):
         executable, _ = _loop_executable(3)
         case = InputCase("a", {}, b"")
@@ -107,9 +113,9 @@ class TestResolveEngine:
             shard_id=0, attempt=1, indices=[0], program="loop",
             executable=executable, faults=[None], cases=[case],
             budgets={"a": 1000}, num_cores=4, quantum=64, seed=0,
-            engine=ENGINE_BLOCK,
+            engine=ENGINE_TRACE,
         )
-        assert task.engine == ENGINE_BLOCK
+        assert task.engine == ENGINE_TRACE
 
 
 def _slice(program, klass, *, inputs, locations):
@@ -136,8 +142,11 @@ class TestDefaultRecordsMatchTheInterpreter:
         assert len(default.records) == len(faults) * inputs
 
 
+COMPILED_ENGINES = [engine for engine in ENGINES if engine != ENGINE_SIMPLE]
+
+
 class TestCompileOnSecondEntry:
-    @pytest.mark.parametrize("engine", [ENGINE_BLOCK, ENGINE_TRACE])
+    @pytest.mark.parametrize("engine", COMPILED_ENGINES)
     def test_once_entered_block_is_never_compiled(self, engine):
         executable, symbols = _loop_executable(3)
         machine = boot(executable, engine=engine)
@@ -150,7 +159,7 @@ class TestCompileOnSecondEntry:
         assert callable(compiled.blocks[symbols["loop"]][1])
         assert compiled.compiled == 1
 
-    @pytest.mark.parametrize("engine", [ENGINE_BLOCK, ENGINE_TRACE])
+    @pytest.mark.parametrize("engine", COMPILED_ENGINES)
     def test_single_pass_compiles_nothing(self, engine):
         executable, _ = _loop_executable(1)
         machine = boot(executable, engine=engine)

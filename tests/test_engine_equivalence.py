@@ -1,11 +1,10 @@
-"""The compiled engines must be bit-identical to the interpreter.
+"""The compiled engine must be bit-identical to the interpreter.
 
-ISSUE acceptance for the execution-engine tentpoles: for any program and
-any fault, ``Machine(engine="block")`` and the superblock tier
-``Machine(engine="trace")`` produce the same :class:`RunResult` *and*
-the same final architectural state (registers, cr/lr/pc, full memory
-image, console, retired-instruction counts) as the per-instruction
-interpreter — including traps raised mid-block, budget
+For any program and any fault, ``Machine(engine="trace")`` — its block
+tier and its superblock tier alike — produces the same
+:class:`RunResult` *and* the same final architectural state (registers,
+cr/lr/pc, full memory image, console, retired-instruction counts) as the
+per-instruction interpreter — including traps raised mid-block, budget
 exhaustion at exact instruction counts, ``pause_at_instret`` boundaries,
 fault-injection watches (which force per-instruction fallback), snapshot
 restore, and the ``jobs=4`` orchestrated path.
@@ -18,11 +17,9 @@ import pytest
 from repro.emulation import ASSIGNMENT_CLASS, CHECKING_CLASS
 from repro.emulation.rules import generate_error_set
 from repro.lang import compile_source
-from repro.machine import ENGINE_BLOCK, ENGINE_SIMPLE, ENGINE_TRACE, blocks, boot
+from repro.machine import ENGINE_SIMPLE, ENGINE_TRACE, ENGINES, blocks, boot
 from repro.swifi import CampaignConfig, CampaignRunner, InputCase
 from repro.swifi.campaign import execute_injection_run
-
-ENGINES = (ENGINE_SIMPLE, ENGINE_BLOCK, ENGINE_TRACE)
 
 
 def final_state(machine, result):
@@ -84,7 +81,7 @@ def random_program(rng: random.Random, passes: int = 1) -> str:
     """A short random MiniC program: arithmetic soup with loops and branches.
 
     Divisions by a possibly-zero expression are *kept*.  The compiled
-    engines interpret a block's first entry and compile it on the second,
+    engine interprets a block's first entry and compiles it on the second,
     so with ``passes=1`` the straight-line prologue runs in the
     interpreter and only the loop is compiled.  With ``passes=2`` the
     prologue and the loop run twice, and the second pass shifts each
@@ -283,7 +280,7 @@ class TestInvalidation:
     def test_block_engine_counters_move(self):
         compiled = compile_source(SUM_SOURCE, "summer")
         machine = boot(compiled.executable, inputs={"in_x": 10},
-                       engine=ENGINE_BLOCK)
+                       engine=ENGINE_TRACE)
         engine = machine.block_engine
         machine.run()
         assert engine.compiled > 0
@@ -334,10 +331,6 @@ class TestInjectionEquivalence:
         )
         baseline = CampaignRunner(compiled, cases).run(error_set.faults)
         for config in (
-            CampaignConfig(engine=ENGINE_BLOCK),
-            CampaignConfig(engine=ENGINE_BLOCK, snapshot="auto"),
-            CampaignConfig(engine=ENGINE_BLOCK, snapshot="verify"),
-            CampaignConfig(engine=ENGINE_BLOCK, jobs=4, seed=11),
             CampaignConfig(engine=ENGINE_TRACE),
             CampaignConfig(engine=ENGINE_TRACE, snapshot="auto"),
             CampaignConfig(engine=ENGINE_TRACE, snapshot="verify"),
@@ -414,8 +407,8 @@ class TestTrapBoundaryAccounting:
     @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 65, 96])
     def test_trap_at_every_compiled_straight_line_offset(self, length):
         # The straight-line runs above, looped over three passes.  The
-        # compiled engines interpret the first entry at `again` and
-        # compile it on the second: the last pass, where r11 is 0 and the
+        # compiled engine interprets the first entry at `again` and
+        # compiles it on the second: the last pass, where r11 is 0 and the
         # planted trap fires from inside the compiled block(s).
         rng = random.Random(7700 + length)
         for offset in range(length):
@@ -908,9 +901,9 @@ class TestFrameSlotSabotage:
 
     def test_keeping_slots_across_an_aliasing_store_is_caught(self):
         states = lambda: _alias_states()[0]
-        simple, block, trace = self._sabotaged(_keep_cached_slots, states)
+        simple, trace = self._sabotaged(_keep_cached_slots, states)
         assert simple["console"] == b"60300"
-        assert block == simple and trace != simple
+        assert trace != simple
         assert_engines_identical(states())
 
     @pytest.mark.parametrize("aliased", [False, True])
@@ -920,7 +913,7 @@ class TestFrameSlotSabotage:
         def states():
             return _frame_states(inside, outside, aliased, 1)[0]
 
-        simple, block, trace = self._sabotaged(_short_upper_bound, states)
+        simple, trace = self._sabotaged(_short_upper_bound, states)
         assert simple["trap_at"][0] == "memory-fault"
-        assert block == simple and trace != simple
+        assert trace != simple
         assert_engines_identical(states())

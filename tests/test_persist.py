@@ -300,7 +300,7 @@ JOURNAL_PINS = {
     "runs.jsonl": "0a0590f29dbdfc95fa39ef12a1f916fea9520af8960b817f61f168a50df7447a",
     "source_runs.jsonl": "8019999447a6429373229b49a9c3b730afe974d774ff0b94a5654228c7d18a01",
     "pairs.jsonl": "237c51bc449e9e7ef8bf9aa1ac2dd3d70153091d68d33333966a5ecb7e4a9df1",
-    "fuzz_journal.jsonl": "974c1ada007bdf4a02940df9f2b8ffa318ce7e3eb92d46135c37a4e5f186661e",
+    "fuzz_journal.jsonl": "ee47738505fbdb7429a26aac59bf5d16618443c384d4925738959f30061c0d68",
     "memo.jsonl": "ec00542196f5a2a605ae6986211557867d746776c491ba3dae60c3ccd065e26c",
 }
 

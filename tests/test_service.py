@@ -53,6 +53,7 @@ from repro.service.protocol import (
     STATUS_OK,
     ProtocolError,
 )
+from repro.service.state import OPTIONS_NAME
 from repro.swifi import (
     Action,
     Arithmetic,
@@ -186,6 +187,16 @@ def take_lease(state, worker_id):
 # protocol
 # ---------------------------------------------------------------------------
 
+#: Options a worker could not run: the retired ``block`` engine (an old
+#: client, or an old broker's ``options.json``), an unknown engine and
+#: an unknown snapshot policy.
+UNRUNNABLE_OPTIONS = [
+    ("engine", "block"),
+    ("engine", "bogus"),
+    ("snapshot", "bogus"),
+]
+
+
 class TestProtocol:
     def test_blob_roundtrip(self):
         payload = {"faults": [1, 2, 3], "nested": ("a", b"bytes")}
@@ -205,9 +216,16 @@ class TestProtocol:
         assert campaign_id_for(a) != campaign_id_for({"program": "p", "seed": 2})
 
     def test_options_roundtrip(self):
-        options = CampaignOptions(seed=7, shard_size=3, engine="block",
+        options = CampaignOptions(seed=7, shard_size=3, engine="trace",
                                   trace=True, label="x", workers_hint=2)
         assert CampaignOptions.from_dict(options.to_dict()) == options
+
+    @pytest.mark.parametrize("field, value", UNRUNNABLE_OPTIONS)
+    def test_options_reject_what_no_worker_can_run(self, field, value):
+        payload = CampaignOptions().to_dict()
+        payload[field] = value
+        with pytest.raises(ProtocolError, match=f"{field} must be one of"):
+            CampaignOptions.from_dict(payload)
 
     def test_options_reject_wire_version_mismatch(self):
         payload = CampaignOptions().to_dict()
@@ -459,6 +477,33 @@ class TestBrokerState:
         with open(reborn.journal_file(campaign_id, RUNS_NAME), "rb") as handle:
             assert handle.read() == serial_journal[0]
 
+    @pytest.mark.parametrize("field, value", UNRUNNABLE_OPTIONS)
+    def test_submit_rejects_what_no_worker_can_run(
+        self, tmp_path, campaign, field, value
+    ):
+        state, _ = self.make_state(tmp_path)
+        with pytest.raises(ProtocolError, match=f"{field} must be one of"):
+            self.submit(state, campaign, **{field: value})
+        assert not state.campaigns
+        assert state.lease("w")["status"] == STATUS_IDLE
+
+    def test_recovery_names_a_campaign_it_cannot_run(self, tmp_path, campaign):
+        state, _ = self.make_state(tmp_path)
+        campaign_id = self.submit(state, campaign)["campaign_id"]
+        directory = state.campaigns[campaign_id].directory
+        # A campaign submitted with ``engine="block"`` before the engine
+        # was retired: its persisted options name an engine no worker has.
+        options_path = os.path.join(directory, OPTIONS_NAME)
+        with open(options_path, "r", encoding="utf-8") as handle:
+            options = json.load(handle)
+        options["engine"] = "block"
+        with open(options_path, "w", encoding="utf-8") as handle:
+            json.dump(options, handle)
+        with pytest.raises(ProtocolError) as excinfo:
+            BrokerState(state.state_dir, clock=FakeClock())
+        assert directory in str(excinfo.value)
+        assert "engine must be one of" in str(excinfo.value)
+
     def test_unknown_campaign_rejected(self, tmp_path):
         state, _ = self.make_state(tmp_path)
         with pytest.raises(ServiceError, match="unknown campaign"):
@@ -520,6 +565,20 @@ class TestHTTP:
         with pytest.raises(Exception) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert getattr(excinfo.value, "code", None) == 400
+
+    @pytest.mark.parametrize("field, value", UNRUNNABLE_OPTIONS)
+    def test_submit_of_what_no_worker_can_run_is_400(
+        self, http_broker, campaign, field, value
+    ):
+        state, _, client = http_broker
+        runner, faults = campaign
+        fingerprint, opts, bundle = make_submission(runner, faults,
+                                                    **{field: value})
+        with pytest.raises(BrokerRequestError) as excinfo:
+            client.submit(fingerprint, opts.to_dict(), bundle.to_blob())
+        assert excinfo.value.code == 400
+        assert f"{field} must be one of" in str(excinfo.value)
+        assert not state.campaigns
 
     def test_full_campaign_over_http_is_bit_identical(
         self, http_broker, campaign, serial_journal

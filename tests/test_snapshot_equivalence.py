@@ -13,6 +13,7 @@ import pytest
 from repro.emulation import ASSIGNMENT_CLASS, CHECKING_CLASS
 from repro.emulation.rules import generate_error_set
 from repro.lang import compile_source
+from repro.machine import ENGINES
 from repro.orchestrator import (
     CampaignInterrupted,
     CampaignOrchestrator,
@@ -113,7 +114,7 @@ class TestEligibility:
 
 
 class TestSerialEquivalence:
-    @pytest.mark.parametrize("engine", ["simple", "block"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_mixed_faults_bit_identical_with_fallbacks(self, small, engine):
         compiled, cases = small
         faults = mixed_fault_set(compiled)
@@ -141,7 +142,7 @@ class TestSerialEquivalence:
         assert cache.stats["dormant"] == 2    # unused_global is never touched
         assert cache.stats["fallback"] == 0   # temporal/trap never reach it
 
-    @pytest.mark.parametrize("engine", ["simple", "block"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_verify_policy_runs_clean(self, small, engine):
         compiled, cases = small
         faults = mixed_fault_set(compiled)
@@ -173,7 +174,7 @@ class TestErrorSetEquivalence:
 
 
 class TestOrchestratedEquivalence:
-    @pytest.mark.parametrize("engine", ["simple", "block"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_jobs4_with_snapshots_matches_serial_fresh(self, small, engine):
         compiled, cases = small
         faults = mixed_fault_set(compiled)

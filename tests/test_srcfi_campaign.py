@@ -90,7 +90,7 @@ class TestParity:
         compiled, cases, faults = target
         base = CampaignRunner(compiled, cases).run(
             faults, config=CampaignConfig(tier="source"))
-        for kwargs in ({"jobs": 2}, {"engine": "block"}):
+        for kwargs in ({"jobs": 2}, {"engine": "trace"}):
             other = CampaignRunner(compiled, cases).run(
                 faults, config=CampaignConfig(tier="source", **kwargs))
             assert [r.to_dict() for r in other.records] == \

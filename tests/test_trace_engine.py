@@ -1,11 +1,12 @@
-"""Superblock trace tier: factory caching, disk code cache, counters.
+"""The trace engine: factory caching, disk code cache, counters.
 
 The bit-identity of ``engine="trace"`` is proven in
 ``test_engine_equivalence.py``; this module covers the machinery around
 it — the bounded :class:`FactoryCache` LRU (ISSUE 8 satellite: the old
 unbounded dict grew across a long-lived campaign worker), the on-disk
-emitted-code cache keyed by code-word hash, and the engine's
-observability counters.
+emitted-code cache keyed by code-word hash, the engine's observability
+counters, and that its block tier runs compiled code where no trace
+forms.
 """
 
 import random
@@ -29,6 +30,27 @@ void main() {
     exit(0);
 }
 """
+
+
+# A loop entered once by `start`'s branch, then from its own back edge.
+# `start` and `done` are the code outside the loop.
+COLD_LOOP = """
+start:
+    addi r3, r0, 0
+    addi r4, r0, {iterations}
+    b loop
+loop:
+    addi r5, r3, 7
+    addi r6, r5, 1
+    add r7, r6, r3
+    addi r3, r3, 1
+    cmp r3, r4
+    bc lt, loop
+done:
+    sc 0
+"""
+COLD_OUTSIDE = 4  # start's three instructions and done's exit call
+COLD_BODY = 6
 
 
 def _boot_loop(engine="trace", n=2000):
@@ -83,7 +105,7 @@ class TestFactoryCacheLRU:
             max_sites_per_operator=3)
         assert len(faults) >= 6  # enough distinct mutants to overflow 8
         CampaignRunner(compiled, cases).run(
-            faults, config=CampaignConfig(tier="source", engine="block"))
+            faults, config=CampaignConfig(tier="source", engine="trace"))
         assert len(bounded) <= 8
         assert bounded.evictions > 0
 
@@ -157,6 +179,37 @@ class TestTraceEngineCounters:
         machine, result = _boot_loop(n=blocks.TRACE_HOT // 2)
         assert result.status == "exited"
         assert machine.block_engine.traces_compiled == 0
+
+    def test_cold_loop_runs_from_its_block_closure(self, monkeypatch):
+        # The block tier runs compiled code even where no trace forms:
+        # the interpreter retires the code outside the loop and the
+        # loop's first iteration (a block's first entry), nothing more.
+        from repro.isa import assemble_text
+        from repro.machine import Executable
+        from repro.machine.cpu import Core
+
+        iterations = blocks.TRACE_HOT // 2
+        program = assemble_text(
+            COLD_LOOP.format(iterations=iterations), base=0x1000)
+        executable = Executable(code=program.code, entry=0x1000,
+                                symbols=program.symbols)
+        interpreted = []
+        simple = Core._run_quantum_simple
+
+        def counting(core, limit):
+            retired = simple(core, limit)
+            interpreted.append(retired)
+            return retired
+
+        monkeypatch.setattr(Core, "_run_quantum_simple", counting)
+        machine = boot(executable, engine="trace")
+        result = machine.run()
+        assert (result.status, result.exit_code) == ("exited", iterations)
+        assert result.instructions == COLD_OUTSIDE + iterations * COLD_BODY
+        engine = machine.block_engine
+        assert engine.traces_compiled == 0 and not engine.traces
+        assert callable(engine.blocks[program.symbols["loop"]][1])
+        assert sum(interpreted) <= COLD_OUTSIDE + COLD_BODY
 
     def test_trace_compile_phase_is_declared(self):
         from repro.observability import trace as obs

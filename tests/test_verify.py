@@ -1,6 +1,6 @@
 """Tests for the differential verification subsystem (repro.verify).
 
-The headline test is the *mutation test*: sabotage the block engine's
+The headline test is the *mutation test*: sabotage the block tier's
 multiply superinstruction, run the fuzzer, and require that the
 cross-engine oracle catches it, the shrinker gets the repro under ten
 statements, and the written artifact replays — failing while the bug is
@@ -15,7 +15,7 @@ import pytest
 
 from repro.lang import compile_source
 from repro.machine import blocks, boot
-from repro.machine.machine import ENGINE_BLOCK, ENGINE_SIMPLE
+from repro.machine.machine import ENGINE_SIMPLE, ENGINE_TRACE
 from repro.isa.encoding import NOP_WORD
 from repro.swifi.campaign import InputCase
 from repro.swifi.faults import (
@@ -131,7 +131,7 @@ def _compiled_case(seed=0, index=0):
 class TestOracle:
     def test_full_matrix_covers_every_axis(self):
         matrix = full_matrix((1, 4))
-        assert len(matrix) == 3 * 3 * 2 * 2  # engines x snapshots x jobs x planner
+        assert len(matrix) == 2 * 3 * 2 * 2  # engines x snapshots x jobs x planner
         labels = {config.label() for config in matrix}
         assert len(labels) == len(matrix)
 
@@ -141,7 +141,7 @@ class TestOracle:
         divergence, digests = oracle.check_state(None, cases[0],
                                                  budget=GOLDEN_BUDGET)
         assert divergence is None
-        assert digests[ENGINE_SIMPLE] == digests[ENGINE_BLOCK]
+        assert digests[ENGINE_SIMPLE] == digests[ENGINE_TRACE]
 
     def test_digest_captures_console_and_state(self):
         _, compiled, cases = _compiled_case()
@@ -156,7 +156,7 @@ class TestOracle:
         _, compiled, cases = _compiled_case(seed=1)
         oracle = DifferentialOracle(
             compiled, cases,
-            matrix=[MatrixConfig(engine=ENGINE_BLOCK, snapshot="auto", jobs=1)],
+            matrix=[MatrixConfig(engine=ENGINE_TRACE, snapshot="auto", jobs=1)],
         )
         descriptors = sample_descriptors(random.Random("record-tier"), 4)
         faults = []
@@ -247,7 +247,7 @@ class TestArtifacts:
         fake = Divergence(
             tier="state", program=program.name, fault_id="golden",
             case_id=cases[0].case_id,
-            config_a=MatrixConfig(), config_b=MatrixConfig(engine=ENGINE_BLOCK),
+            config_a=MatrixConfig(), config_b=MatrixConfig(engine=ENGINE_TRACE),
             detail_a={"status": "exited"}, detail_b={"status": "trapped"},
             fields=("status",),
         )
@@ -277,7 +277,8 @@ class TestArtifacts:
 
 @contextlib.contextmanager
 def broken_block_multiply():
-    """Sabotage the block engine: every multiply is off by one."""
+    """Sabotage the block tier's code generator: every multiply is off by
+    one."""
     original = blocks._Emitter._emit_xo
 
     def sabotaged(self, k, rd, ra, rb, subop):
