@@ -8,16 +8,16 @@ module trades a one-time compilation cost for straight-line execution.
 
 **The block tier** is what every PC starts on:
 
-* ``Machine.code_words`` is scanned into **basic blocks** — runs of
+* ``Machine.decode_cache`` is scanned into **basic blocks** — runs of
   straight-line instructions terminated by a branch
   (``b``/``bl``/``blr``/``bc``), cut before ``sc``/``trap`` and before
   any PC carrying a fetch watch;
-* a block's first entry runs in the interpreter; its second compiles it
-  **once** into a specialized Python closure (most blocks of a short
-  run are entered only once and never pay for codegen): operands are
-  baked in as constants, registers live in Python locals for the
-  duration of the block, and branch targets and trap messages are
-  precomputed;
+* a block's first entry on a machine runs in the interpreter; its
+  second compiles it **once** into a specialized Python closure (most
+  blocks of a short run are entered only once and never pay for
+  codegen): operands are baked in as constants, registers live in
+  Python locals for the duration of the block, and branch targets and
+  trap messages are precomputed;
 * a load or store whose address falls in the machine's stacks or data
   segment — the first two ranges of ``Machine.access_ranges()``, bound
   as closure locals — costs one range test and one call to a pre-bound
@@ -64,6 +64,22 @@ LRU (:class:`FactoryCache`) backed by an on-disk tier keyed by a content
 hash of the emitted code, so repeated campaign boots of the same binary
 — including the orchestrator's fresh worker processes — skip source
 generation *and* ``compile()`` entirely.
+
+**Warm boots.**  Everything derived from the code image alone lives in
+one :class:`CodeImage` per image, inside the :class:`FactoryCache`: the
+decoded words, each block's scanned length, and the factories of the
+blocks and traces machines of that image compiled.  The triggers stay
+per machine (a block compiles on the machine's own second entry, a
+trace forms at its own ``TRACE_HOT``), so nothing is compiled that a
+lone machine would not compile; but a machine booted after another
+instantiates a known block, and adopts a known trace, at its own first
+entry of the pc.  This is exact: a machine reads and publishes only
+while its code mirror is the image (``Machine._code_gen == 0``), a
+known block or trace is adopted only if none of the pcs it spans is
+fetch-watched on the adopting machine, a block or trace a fetch watch
+cut is never published, and a closure runs the same code whichever
+machine built its factory.  Closures (they bind each machine's memory),
+branch profiles and bailouts stay per machine.
 
 Correctness contract (enforced by ``tests/test_engine_equivalence.py``):
 for any program and any fault from the paper's Table-3 classes, the
@@ -1006,18 +1022,59 @@ _DISK_STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
 #: Per-directory entry counts (avoids an os.listdir per store).
 _DISK_COUNTS: dict[str, int] = {}
 
+#: Code images whose tables one :class:`FactoryCache` keeps.  A campaign
+#: boots one or two images per process; a source-tier campaign boots a
+#: new mutant binary per fault, and each table holds every word decoded.
+_IMAGE_LIMIT = 64
+
+
+class CodeImage:
+    """What the compiled engine derives from one code image alone.
+
+    One table per ``(code_base, code)`` in a :class:`FactoryCache`,
+    shared by every machine booted from that image in the process:
+
+    * ``words`` and ``decoded``, the image's words and their fields,
+      which ``Machine.install_code`` copies instead of decoding;
+    * ``lengths``: entry pc → instructions in its block when no pc is
+      fetch-watched;
+    * ``blocks``: entry pc → factory of that whole block, once some
+      machine compiled it;
+    * ``traces``: entry pc → ``(count, factory, span, aliased)`` of a
+      trace some machine formed there; ``span`` is the set of pcs its
+      instructions occupy.
+
+    Every factory here is one a machine built on its own trigger, so
+    another machine's instantiating it compiles nothing new.  Closures,
+    branch profiles and bailouts stay with each :class:`TraceEngine`.
+    """
+
+    __slots__ = ("words", "decoded", "lengths", "blocks", "traces")
+
+    def __init__(self, code: bytes) -> None:
+        self.words = Struct(f">{len(code) // 4}I").unpack(code)
+        self.decoded = tuple(map(decode_fields, self.words))
+        self.lengths: dict[int, int] = {}
+        self.blocks: dict[int, object] = {}
+        self.traces: dict[int, tuple] = {}
+
 
 class FactoryCache:
-    """Bounded LRU of compiled factory callables.
+    """Bounded LRU of compiled factory callables, and the tables of the
+    code images they were compiled from.
 
     Keyed like the srcfi ``MutantCache``: an ``OrderedDict`` in
     recency order with hit/miss/eviction counters, evicting from the
     cold end.  Long-lived campaign workers compile thousands of distinct
     mutant binaries; without the bound the old unbounded dict grew (and
     was periodically ``clear()``-ed wholesale, dropping the hot set too).
+    The :class:`CodeImage` tables sit in a second LRU, by image, so that
+    clearing or replacing the cache also drops every factory a table
+    holds.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries",
+                 "_images")
 
     def __init__(self, capacity: int = _FACTORY_CACHE_LIMIT) -> None:
         self.capacity = capacity
@@ -1025,6 +1082,7 @@ class FactoryCache:
         self.misses = 0
         self.evictions = 0
         self._entries: OrderedDict = OrderedDict()
+        self._images: OrderedDict = OrderedDict()
 
     def get(self, key):
         entry = self._entries.get(key)
@@ -1046,8 +1104,26 @@ class FactoryCache:
             self.evictions += 1
             _trace.add_counter("factory_cache_evictions", 1)
 
+    def image(self, base: int, code: bytes) -> CodeImage:
+        """The table of *code* mapped at *base*, made on first use.
+
+        Re-inserted rather than moved to the end, so that worker threads
+        booting machines in one process (``repro work --workers N``)
+        cannot look up an image that another thread evicts before it
+        moves."""
+        key = (base, code)
+        images = self._images
+        image = images.pop(key, None)
+        if image is None:
+            image = CodeImage(code)
+        images[key] = image
+        if len(images) > _IMAGE_LIMIT:
+            images.popitem(last=False)
+        return image
+
     def clear(self) -> None:
         self._entries.clear()
+        self._images.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -1072,6 +1148,34 @@ def factory_cache_stats() -> dict:
     stats = _FACTORY_CACHE.stats()
     stats["disk"] = dict(_DISK_STATS)
     return stats
+
+
+def code_image(base: int, code: bytes) -> CodeImage:
+    """The shared table of *code* mapped at *base* (see :class:`CodeImage`)."""
+    return _FACTORY_CACHE.image(base, code)
+
+
+def _shared_image(machine: "Machine") -> CodeImage | None:
+    """The table *machine*'s engine may read and publish: its image's,
+    while its code mirror still is that image (no debug write or restore
+    of a written word since install), and ``None`` from then on."""
+    return machine._image if machine._code_gen == 0 else None
+
+
+def _scan(decoded, index: int) -> int:
+    """Instructions in the basic block whose first word is
+    ``decoded[index]``, ignoring fetch watches: up to and including its
+    terminator, cut before an unsupported word and at ``MAX_BLOCK``."""
+    end = min(len(decoded), index + MAX_BLOCK)
+    k = index
+    while k < end:
+        fields = decoded[k]
+        if not _supported(fields):
+            break
+        k += 1
+        if fields[0] in _TERMINATORS:
+            break
+    return k - index
 
 
 def _disk_cache_dir() -> str | None:
@@ -1263,6 +1367,16 @@ class TraceEngine:
     whenever a stitched branch goes the unprofiled way, and a failed
     frame guard retires the trace without touching any architectural
     state.
+
+    Triggers are per machine: a block compiles on this machine's second
+    entry and a trace forms at this machine's ``TRACE_HOT``.  What they
+    build is published to the image's :class:`CodeImage`, and a later
+    machine of the same image instantiates a known block, and adopts a
+    known trace, at its own first entry of the pc: a campaign's fresh
+    boots stop re-interpreting, re-profiling and re-planning what an
+    earlier run already compiled.  A machine reads and publishes only
+    while its code mirror is the image's, adopts nothing that spans one
+    of its fetch-watched pcs, and publishes nothing its watches cut.
     """
 
     __slots__ = (
@@ -1270,12 +1384,15 @@ class TraceEngine:
         "blocks",
         "_gen_key",
         "_watch_keys",
+        "_image",
         "compiled",
+        "blocks_adopted",
         "invalidated",
         "_binding",
         "traces",
         "_prof",
         "traces_compiled",
+        "traces_adopted",
         "traces_aliased",
         "trace_bailouts",
     )
@@ -1290,7 +1407,12 @@ class TraceEngine:
         self.blocks: dict[int, tuple] = {}
         self._gen_key: tuple | None = None
         self._watch_keys: frozenset[int] = frozenset()
+        #: ``_shared_image(machine)`` as of the last invalidation
+        self._image: CodeImage | None = None
+        #: blocks compiled on this machine's second entry
         self.compiled = 0
+        #: blocks another machine compiled, instantiated at a first entry
+        self.blocks_adopted = 0
         self.invalidated = 0
         #: ``_bind_memory(machine)``, built on the first compile after
         #: every ``_sync`` that invalidated.
@@ -1300,9 +1422,13 @@ class TraceEngine:
         self.traces: dict[int, tuple] = {}
         #: entry pc → [execution count, {successor pc: count}]
         self._prof: dict[int, list] = {}
+        #: traces formed at this machine's ``TRACE_HOT``
         self.traces_compiled = 0
-        #: compiled traces whose code forgets known frame slots at a
-        #: store that may alias one (see ``_TraceEmitter``)
+        #: traces another machine formed, adopted at a first entry
+        self.traces_adopted = 0
+        #: traces this machine runs, formed or adopted, whose code forgets
+        #: known frame slots at a store that may alias one (see
+        #: ``_TraceEmitter``)
         self.traces_aliased = 0
         self.trace_bailouts = 0
 
@@ -1341,38 +1467,63 @@ class TraceEngine:
             self._binding = None
             self._gen_key = key
             self._watch_keys = frozenset(watch_keys)
+            self._image = _shared_image(machine)
 
     # -- compilation -------------------------------------------------------
 
-    def _scan_block(self, entry_pc: int) -> list[tuple[int, int, int, int, int]]:
-        """Decode the basic block headed at *entry_pc* (empty when the
-        PC cannot head a compiled block)."""
-        machine = self.machine
-        words = machine.code_words
-        code_base = machine.code_base
+    def _block_length(self, entry_pc: int) -> int:
+        """Instructions in the basic block headed at *entry_pc* (0 when
+        the PC cannot head a compiled block).
+
+        A fetch-watched PC (including the entry itself) is never part of
+        a compiled block: the dispatcher single-steps it so the watch
+        handler runs with architecturally exact state.
+        """
+        image = self._image
+        length = None if image is None else image.lengths.get(entry_pc)
+        if length is None:
+            machine = self.machine
+            length = _scan(machine.decode_cache,
+                           (entry_pc - machine.code_base) >> 2)
+            if image is not None:
+                image.lengths[entry_pc] = length
+        for pc in self._watch_keys:
+            if entry_pc <= pc < entry_pc + 4 * length:
+                length = (pc - entry_pc) >> 2
+        return length
+
+    def _clear_of_watches(self, span) -> bool:
+        """Whether none of the pcs in *span* is fetch-watched here: only
+        then may this machine run code another machine compiled over
+        them."""
         watched = self._watch_keys
-        total = len(words)
-        decoded: list[tuple[int, int, int, int, int]] = []
-        k = (entry_pc - code_base) >> 2
-        while k < total and len(decoded) < MAX_BLOCK:
-            # A fetch-watched PC (including the entry itself) is never
-            # part of a compiled block: the dispatcher single-steps it so
-            # the watch handler runs with architecturally exact state.
-            if (code_base + 4 * k) in watched:
-                break
-            fields = decode_fields(words[k])
-            if not _supported(fields):
-                break
-            decoded.append(fields)
-            k += 1
-            if fields[0] in _TERMINATORS:
-                break
-        return decoded
+        return not watched or watched.isdisjoint(span)
 
     def _enter(self, entry_pc: int) -> tuple:
-        """First entry at *entry_pc*: scan its block, compile nothing yet."""
-        count = len(self._scan_block(entry_pc))
+        """First entry at *entry_pc*: scan its block, and instantiate the
+        block and adopt the trace some other machine compiled here; compile
+        nothing."""
+        count = self._block_length(entry_pc)
         entry = (count, None) if count else _UNCOMPILED
+        image = self._image
+        if count and image is not None:
+            factory = image.blocks.get(entry_pc)
+            length = image.lengths[entry_pc]
+            if factory is not None and self._clear_of_watches(
+                range(entry_pc, entry_pc + 4 * length, 4)
+            ):
+                entry = (length, self._instantiate(factory, entry_pc))
+                self.blocks_adopted += 1
+                _trace.add_counter("blocks_adopted", 1)
+            known = image.traces.get(entry_pc)
+            if known is not None and self._clear_of_watches(known[2]):
+                need, factory, _span, aliased = known
+                self.traces[entry_pc] = (need, self._instantiate(factory, entry_pc))
+                self.traces_adopted += 1
+                _trace.add_counter("traces_adopted", 1)
+                if aliased:
+                    self.traces_aliased += 1
+                    _trace.add_counter("traces_aliased", 1)
         self.blocks[entry_pc] = entry
         return entry
 
@@ -1392,6 +1543,9 @@ class TraceEngine:
         self.blocks[entry_pc] = entry
         self.compiled += 1
         _trace.add_counter("blocks_compiled", 1)
+        image = self._image
+        if image is not None and count == image.lengths[entry_pc]:
+            image.blocks.setdefault(entry_pc, factory)
         return entry
 
     # -- trace formation ---------------------------------------------------
@@ -1399,16 +1553,23 @@ class TraceEngine:
     def _plan_trace(self, entry_pc: int):
         """Stitch the profiled hot path headed at *entry_pc*.
 
-        Returns ``(steps, terminal, frame, count, looping, aliased)``
-        (the first five for the generator, ``frame`` and ``aliased``
-        from :func:`_analyze_frame`), or ``None`` when no worthwhile
-        trace exists.  Each step is ``(byte_off, decoded, role, aux)``
-        with role ``"i"`` (straight-line), ``"s"`` (internal
-        unconditional branch) or ``"gt"``/``"gf"`` (guard, predicted
-        taken / fall-through, with the side-exit offset in ``aux``).
+        Returns ``(steps, terminal, frame, count, looping, aliased,
+        span)`` (the first five for the generator, ``frame`` and
+        ``aliased`` from :func:`_analyze_frame`), or ``None`` when no
+        worthwhile trace exists.  Each step is ``(byte_off, decoded,
+        role, aux)`` with role ``"i"`` (straight-line), ``"s"``
+        (internal unconditional branch) or ``"gt"``/``"gf"`` (guard,
+        predicted taken / fall-through, with the side-exit offset in
+        ``aux``).  ``span`` is the set of pcs the trace's instructions
+        occupy, or ``None`` when it may not be published: the machine
+        has no image to publish to, or a fetch watch cut or stopped the
+        stitched path.
         """
         machine = self.machine
         code_base, code_end = machine.code_base, machine.code_end
+        decode_cache = machine.decode_cache
+        image = self._image
+        watched = False  # a fetch watch shaped the stitched path
         prof = self._prof
         segs: list[list] = []  # [pc, decoded, successor, predicted_taken]
         visited: set[int] = set()
@@ -1418,9 +1579,13 @@ class TraceEngine:
         while len(segs) < TRACE_MAX_BLOCKS and total < TRACE_MAX_INSTR:
             if not code_base <= pc < code_end:
                 break
-            decoded = self._scan_block(pc)
-            if not decoded:
+            length = self._block_length(pc)
+            if image is not None and length != image.lengths[pc]:
+                watched = True
+            if not length:
                 break
+            index = (pc - code_base) >> 2
+            decoded = decode_cache[index : index + length]
             visited.add(pc)
             seg = [pc, decoded, None, None]
             segs.append(seg)
@@ -1506,7 +1671,13 @@ class TraceEngine:
                 terminal = ("bc", last, toff, (toff + 4 * last[4], toff + 4))
 
         frame, aliased = _analyze_frame(steps, looping)
-        return tuple(steps), terminal, frame, total, looping, aliased
+        span = None
+        if image is not None and not watched:
+            span = frozenset(
+                spc + 4 * k for spc, decoded, _succ, _taken in segs
+                for k in range(len(decoded))
+            )
+        return tuple(steps), terminal, frame, total, looping, aliased, span
 
     def _build_trace(self, entry_pc: int) -> None:
         with _trace.phase(_trace.PHASE_TRACE_COMPILE):
@@ -1514,7 +1685,7 @@ class TraceEngine:
             if plan is None:
                 self.traces[entry_pc] = _NO_TRACE
                 return
-            steps, terminal, frame, count, looping, aliased = plan
+            steps, terminal, frame, count, looping, aliased, span = plan
             factory = _trace_factory_for(steps, terminal, frame, count, looping)
             self.traces[entry_pc] = (count, self._instantiate(factory, entry_pc))
             self.traces_compiled += 1
@@ -1523,6 +1694,9 @@ class TraceEngine:
                 self.traces_aliased += 1
                 _trace.add_counter("traces_aliased", 1)
             _trace.add_counter("trace_instructions", count)
+            if span is not None:
+                self._image.traces.setdefault(
+                    entry_pc, (count, factory, span, aliased))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -1608,6 +1782,8 @@ class TraceEngine:
                         pc = core.pc  # pragma: no cover
                         continue  # pragma: no cover
                     entry = self._enter(pc)
+                    if traces_get(pc) is not None:
+                        continue  # an adopted trace runs from here on
                 elif entry[1] is None and entry[0]:
                     entry = self._compile(pc, entry[0])  # second entry
                 count, run = entry

@@ -1,12 +1,13 @@
 """RX32 CPU core: a threaded interpreter over encoded instruction words.
 
-The dispatch loop uses a per-address *decode cache*: the first execution of
-each word extracts ``(opcode, rd, ra, rb, imm)`` once; later executions
-reuse the tuple.  The cache is invalidated whenever the debug port writes
-into the code segment, so injected instruction corruptions always take
-effect — and a word substituted by a fetch-watch handler is decoded
-without being cached (a data-bus corruption of the fetch must not be
-remembered).
+The dispatch loop reads a per-address *decode cache*,
+``Machine.decode_cache``, that holds ``(opcode, rd, ra, rb, imm)`` for
+every word of the code mirror: ``install_code`` copies it from the
+image's shared table, and every write to the mirror (the debug port,
+snapshot restore) re-decodes the words it changes, so injected
+instruction corruptions always take effect — and a word substituted by
+a fetch-watch handler is decoded without being cached (a data-bus
+corruption of the fetch must not be remembered).
 
 Faults hook in at three architecturally faithful points:
 
@@ -218,18 +219,16 @@ class Core:
                         address=pc,
                     )
                 index = (pc - code_base) >> 2
-                decoded = decode_cache[index]
                 if fetch_watch and pc in fetch_watch:
                     self.pc = pc
                     substitute = fetch_watch[pc](self, pc, code_words[index])
                     if substitute is None:
-                        # a handler that rewrote the word cleared its entry
+                        # a handler that rewrote the word re-decoded it
                         decoded = decode_cache[index]
                     else:
                         decoded = decode_fields(substitute)
-                if decoded is None:
-                    decoded = decode_fields(code_words[index])
-                    decode_cache[index] = decoded
+                else:
+                    decoded = decode_cache[index]
                 executed += 1
                 opcode, rd, ra, rb, imm = decoded
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cpu import Core
+from .cpu import Core, decode_fields
 from .debug import DebugUnit
 from .memory import Memory
 from .syscalls import HeapManager, SyscallHandler
@@ -105,11 +105,14 @@ class Machine:
         self._load_watch: dict = {}
         self._store_watch: dict = {}
 
-        # Code mirror for fast fetch; filled by the loader.
+        # Code mirror for fast fetch, and the decoded fields of every
+        # word in it; filled by the loader.
         self.code_base = CODE_BASE
         self.code_end = CODE_BASE
         self.code_words: list[int] = []
         self.decode_cache: list = []
+        # The process-wide table of the installed image (blocks.CodeImage).
+        self._image = None
 
         self._barrier_waiting: set[int] = set()
         self.executable = None  # set by the loader
@@ -135,18 +138,27 @@ class Machine:
     # ------------------------------------------------------------------
 
     def install_code(self, base: int, code: bytes) -> None:
-        """Map *code* at *base* and build the fetch mirror."""
+        """Map *code* at *base* and copy the image's fetch mirror.
+
+        The words and their decoded fields come from the image's
+        :class:`~repro.machine.blocks.CodeImage`, which decodes them once
+        per process; every boot of the image copies two lists.  The
+        table also carries what earlier machines of the image compiled,
+        which the ``trace`` engine adopts while the mirror stays
+        unwritten.
+        """
+        from .blocks import code_image
+
         if len(code) % 4:
             raise ValueError("code size must be a multiple of 4")
+        code = bytes(code)
         self.memory.add_segment("code", base, len(code), writable=False)
         self.memory.debug_write(base, code)
         self.code_base = base
         self.code_end = base + len(code)
-        self.code_words = [
-            int.from_bytes(code[offset : offset + 4], "big")
-            for offset in range(0, len(code), 4)
-        ]
-        self.decode_cache = [None] * len(self.code_words)
+        self._image = image = code_image(base, code)
+        self.code_words = list(image.words)
+        self.decode_cache = list(image.decoded)
 
     def access_ranges(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(readable, writable) address ranges for the CPU fast path.
@@ -191,8 +203,9 @@ class Machine:
         self.memory.debug_write_word(address, word)
         if self.code_base <= address < self.code_end:
             index = (address - self.code_base) >> 2
-            self.code_words[index] = word & 0xFFFFFFFF
-            self.decode_cache[index] = None
+            word &= 0xFFFFFFFF
+            self.code_words[index] = word
+            self.decode_cache[index] = decode_fields(word)
             self._mirror_dirty.add(index)
             self._code_gen += 1
 

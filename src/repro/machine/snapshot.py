@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..observability import trace as _trace
+from .cpu import decode_fields
 from .memory import PAGE_SIZE, ZERO_PAGE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,10 +171,16 @@ def restore_snapshot(machine: "Machine", snapshot: MachineSnapshot) -> None:
     }
 
     # 3. Code mirror + decode cache.  Only indices the debug port touched
-    #    can diverge, so repair those instead of rebuilding the mirror.
+    #    can diverge, so repair and re-decode those instead of rebuilding
+    #    the mirror.
+    decode_cache = machine.decode_cache
     if snapshot.code_words is not None:
+        for index, (word, target) in enumerate(
+            zip(machine.code_words, snapshot.code_words)
+        ):
+            if word != target:
+                decode_cache[index] = decode_fields(target)
         machine.code_words = list(snapshot.code_words)
-        machine.decode_cache = [None] * len(machine.code_words)
         machine._mirror_dirty = set(
             index
             for index, word in enumerate(snapshot.code_words)
@@ -182,8 +189,9 @@ def restore_snapshot(machine: "Machine", snapshot: MachineSnapshot) -> None:
         machine._code_gen += 1
     elif machine._mirror_dirty:
         for index in machine._mirror_dirty:
-            machine.code_words[index] = snapshot.baseline.code_words[index]
-            machine.decode_cache[index] = None
+            word = snapshot.baseline.code_words[index]
+            machine.code_words[index] = word
+            decode_cache[index] = decode_fields(word)
         machine._mirror_dirty.clear()
         machine._code_gen += 1
 

@@ -119,6 +119,9 @@ class FuzzReport:
     #: that may alias one; a diagnostic of the programs this invocation
     #: ran (not journaled, so journal bytes stay as they were)
     aliased_traces: int = 0
+    #: state-tier blocks and traces a machine adopted from the ones an
+    #: earlier machine of the same program image compiled (not journaled)
+    adopted: int = 0
     skipped_faults: int = 0
     elapsed: float = 0.0
     stopped_early: bool = False
@@ -134,7 +137,8 @@ class FuzzReport:
             f"verify fuzz: seed={self.seed} programs={self.programs} "
             f"state-cases={self.state_cases} record-campaigns={self.record_campaigns} "
             f"runs={self.total_runs} extrapolated={self.extrapolated_runs} "
-            f"aliased={self.aliased_traces} elapsed={self.elapsed:.1f}s"
+            f"aliased={self.aliased_traces} adopted={self.adopted} "
+            f"elapsed={self.elapsed:.1f}s"
             + (" (stopped early: budget)" if self.stopped_early else ""),
         ]
         if self.resumed_programs:
@@ -537,6 +541,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
     report.total_runs += oracle.runs
     report.extrapolated_runs += oracle.extrapolated
     report.aliased_traces += oracle.aliased
+    report.adopted += oracle.adopted
 
 
 # ---------------------------------------------------------------------------

@@ -121,10 +121,12 @@ def run_state(executable, spec: MachineFault | None, case: InputCase, *,
 
 def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
                budget: int, engine: str,
-               quantum: int = 64) -> tuple[StateDigest, bool, int]:
-    """:func:`run_state`, plus whether the run ended a hang at its cycle
-    and how many of its traces forget cached frame slots at a store that
-    may alias one (``TraceEngine.traces_aliased``)."""
+               quantum: int = 64) -> tuple[StateDigest, bool, int, int]:
+    """:func:`run_state`, plus whether the run ended a hang at its cycle,
+    how many of its traces forget cached frame slots at a store that may
+    alias one (``TraceEngine.traces_aliased``), and how many blocks and
+    traces it adopted from earlier machines of the image
+    (``TraceEngine.blocks_adopted`` + ``traces_adopted``)."""
     machine = boot(executable, inputs=dict(case.pokes), engine=engine)
     session = InjectionSession(machine)
     fault_id = spec.fault_id if spec is not None else "none"
@@ -132,8 +134,11 @@ def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
         session.arm(spec)
     result = session.run(budget, quantum=quantum)
     digest = machine_digest(machine, result, session, fault_id)
-    aliased = getattr(machine.block_engine, "traces_aliased", 0)
-    return digest, session.cycle is not None, aliased
+    compiled = machine.block_engine
+    if compiled is None:
+        return digest, session.cycle is not None, 0, 0
+    adopted = compiled.blocks_adopted + compiled.traces_adopted
+    return digest, session.cycle is not None, compiled.traces_aliased, adopted
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +219,8 @@ class DifferentialOracle:
         self.extrapolated = 0
         #: state-tier traces that forget cached frame slots at a store
         self.aliased = 0
+        #: state-tier blocks and traces adopted from an earlier machine
+        self.adopted = 0
 
     # -- state tier ------------------------------------------------------
 
@@ -227,12 +234,13 @@ class DifferentialOracle:
         fault_id = spec.fault_id if spec is not None else "golden"
         digests: dict[str, StateDigest] = {}
         for engine in self.state_engines:
-            digests[engine], extrapolated, aliased = _run_state(
+            digests[engine], extrapolated, aliased, adopted = _run_state(
                 self.compiled.executable, spec, case, budget=budget, engine=engine
             )
             self.runs += 1
             self.extrapolated += extrapolated
             self.aliased += aliased
+            self.adopted += adopted
         base_engine = self.state_engines[0]
         base = digests[base_engine]
         for engine in self.state_engines[1:]:

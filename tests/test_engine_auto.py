@@ -41,6 +41,7 @@ from repro.swifi import (
     InputCase,
     MachineFault,
     OpcodeFetch,
+    RegisterTarget,
     SetValue,
     WhenPolicy,
 )
@@ -145,6 +146,7 @@ class TestDefaultRecordsMatchTheInterpreter:
 COMPILED_ENGINES = [engine for engine in ENGINES if engine != ENGINE_SIMPLE]
 
 
+@pytest.mark.usefixtures("fresh_factory_cache")
 class TestCompileOnSecondEntry:
     @pytest.mark.parametrize("engine", COMPILED_ENGINES)
     def test_once_entered_block_is_never_compiled(self, engine):
@@ -165,6 +167,29 @@ class TestCompileOnSecondEntry:
         machine = boot(executable, engine=engine)
         machine.run()
         assert machine.block_engine.compiled == 0
+
+    def _second_boot(self, clear):
+        executable, symbols = _loop_executable(3)
+        assert boot(executable, engine=ENGINE_TRACE).run().exit_code == 3
+        if clear:
+            blocks._FACTORY_CACHE.clear()
+        machine = boot(executable, engine=ENGINE_TRACE)
+        result = machine.run()
+        assert (result.status, result.exit_code) == ("exited", 3)
+        return machine.block_engine, symbols
+
+    def test_a_second_boot_adopts_the_loop_at_its_first_entry(self):
+        compiled, symbols = self._second_boot(clear=False)
+        # The first boot compiled `loop`; this one instantiates it at
+        # its own first entry and compiles nothing itself.
+        assert (compiled.blocks_adopted, compiled.compiled) == (1, 0)
+        assert callable(compiled.blocks[symbols["loop"]][1])
+        # `start`, entered once per boot, is still never compiled.
+        assert compiled.blocks[symbols["start"]][1] is None
+
+    def test_a_cleared_cache_boots_cold(self):
+        compiled, _ = self._second_boot(clear=True)
+        assert (compiled.blocks_adopted, compiled.compiled) == (0, 1)
 
 
 class TestCodeRewrite:
@@ -189,6 +214,94 @@ class TestCodeRewrite:
             ]
         assert records[ENGINE_TRACE] == records[ENGINE_SIMPLE]
         assert records[ENGINE_SIMPLE][1].injections == 1
+
+
+def _adopt_across_watches(patch):
+    """Sabotage: a machine adopts known blocks and traces whatever pcs
+    it fetch-watches."""
+    patch.setattr(blocks.TraceEngine, "_clear_of_watches",
+                  lambda self, span: True)
+
+
+def _publish_rewritten_code(patch):
+    """Sabotage: a machine keeps reading and publishing its image's table
+    after a debug write changed its code mirror."""
+    patch.setattr(blocks, "_shared_image", lambda machine: machine._image)
+
+
+def _watched_inside_a_known_block():
+    """Records, on `simple` and `trace`, of a run whose fault fires on
+    the fifth fetch of a pc W inside `loop`, after a golden run on
+    `trace` published `loop`'s block and trace."""
+    executable, symbols = _loop_executable(40)
+    watched = symbols["loop"] + 8
+    fault = MachineFault(
+        "interior", OpcodeFetch(watched),
+        (Action(RegisterTarget(3), SetValue(100)),),
+        when=WhenPolicy.nth(5),
+    )
+    case = InputCase("a", {}, b"")
+    golden = execute_injection_run(executable, None, case, budget=10_000,
+                                   engine=ENGINE_TRACE)
+    assert golden.exit_code == 40
+    return [execute_injection_run(executable, fault, case, budget=10_000,
+                                  engine=engine)
+            for engine in (ENGINE_SIMPLE, ENGINE_TRACE)]
+
+
+def _boot_after_a_rewrite():
+    """Final state, per engine, of a fault-free boot that follows a
+    `trace` run whose `CodeWord` fault rewrote `loop`'s third word (an
+    `add`) into `b +1` at the run's first fetch."""
+    from tests.test_engine_equivalence import final_state
+
+    executable, symbols = _loop_executable(40)
+    rewrite = MachineFault(
+        "rewrite", OpcodeFetch(symbols["start"]),
+        (Action(CodeWord(symbols["loop"] + 8), SetValue(ins.b(1).encode())),),
+        when=WhenPolicy.nth(1),
+    )
+    case = InputCase("a", {}, b"")
+    faulty = execute_injection_run(executable, rewrite, case, budget=10_000,
+                                   engine=ENGINE_TRACE)
+    assert faulty.injections == 1
+    states = []
+    for engine in ENGINES:
+        machine = boot(executable, engine=engine)
+        states.append(final_state(machine, machine.run()))
+    return states
+
+
+class TestWarmBootSabotage:
+    """Each rule that keeps warm boots exact, sabotaged, shows; undoing
+    the sabotage restores identical records and state."""
+
+    @staticmethod
+    def _run(outcome, sabotage=None):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CODE_CACHE", "off")
+            patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            if sabotage is not None:
+                sabotage(patch)
+            return outcome()
+
+    def test_adopting_across_a_fetch_watch_is_caught(self):
+        simple, trace = self._run(_watched_inside_a_known_block,
+                                  _adopt_across_watches)
+        assert (simple.injections, simple.exit_code) == (1, 101)
+        # The adopted block and trace run over W: the fault never fires.
+        assert (trace.injections, trace.exit_code) == (0, 40)
+        simple, trace = self._run(_watched_inside_a_known_block)
+        assert trace == simple and simple.injections == 1
+
+    def test_publishing_rewritten_code_is_caught(self):
+        simple, trace = self._run(_boot_after_a_rewrite,
+                                  _publish_rewritten_code)
+        assert simple["status"] == "exited"
+        # The fault-free boot adopts the rewritten `loop` from the table.
+        assert trace != simple
+        simple, trace = self._run(_boot_after_a_rewrite)
+        assert trace == simple
 
 
 class TestEmitterFingerprint:

@@ -241,6 +241,7 @@ class TestBoundaryEquivalence:
         assert_engines_identical(states)
 
 
+@pytest.mark.usefixtures("fresh_factory_cache")
 class TestInvalidation:
     """Self-modifying code and snapshot restore must drop stale blocks."""
 
@@ -444,6 +445,7 @@ class TestTrapBoundaryAccounting:
                     length, offset, engine)
 
     @pytest.mark.parametrize("body", [0, 1, 2, 3, 5, 8, 13])
+    @pytest.mark.usefixtures("fresh_factory_cache")
     def test_trap_at_every_loop_body_offset(self, body):
         rng = random.Random(9900 + body)
         for offset in range(body + 1):
@@ -792,6 +794,7 @@ def _edge_bases(num_cores: int, edge: str) -> tuple[int, int]:
     return start + 8, start + 4       # slot -8(r12) on the first word
 
 
+@pytest.mark.usefixtures("fresh_factory_cache")
 class TestFrameGuardEdges:
     """A frame on the first or last word of the stacks passes the guard;
     one word further out, the guard bails and block dispatch traps
@@ -852,6 +855,7 @@ def _alias_states():
     return states, machine.block_engine
 
 
+@pytest.mark.usefixtures("fresh_factory_cache")
 class TestFrameSlotAliasing:
     def test_a_store_through_a_pointer_to_a_local(self):
         states, engine = _alias_states()

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.isa import assemble_text, ins
+from repro.isa.encoding import OP_ADDI
 from repro.machine import Executable, Machine, boot, load
+from repro.machine.cpu import decode_fields
 
 
 def make_executable(source: str) -> Executable:
@@ -11,19 +13,26 @@ def make_executable(source: str) -> Executable:
     return Executable(code=program.code, entry=0x1000, symbols=program.symbols)
 
 
+def assert_decoded(machine):
+    """Every decode-cache entry is the decoded fields of its word."""
+    assert machine.decode_cache == [decode_fields(word)
+                                    for word in machine.code_words]
+
+
 class TestCodeMirror:
     def test_install_code_builds_mirror(self):
         machine = boot(make_executable("nop\nsc 0"))
         assert machine.code_words[0] == ins.nop().encode()
-        assert machine.decode_cache == [None, None]
+        assert len(machine.decode_cache) == 2
+        assert_decoded(machine)
 
-    def test_debug_write_invalidates_decode_cache(self):
+    def test_debug_write_redecodes_the_word(self):
         machine = boot(make_executable("addi r3, r0, 1\naddi r3, r3, 1\nb -1"))
-        machine.run(max_instructions=10)  # populate the cache
-        assert machine.decode_cache[0] is not None
+        machine.run(max_instructions=10)
         machine.debug_write_code(0x1000, ins.addi(3, 0, 7).encode())
-        assert machine.decode_cache[0] is None
         assert machine.code_words[0] == ins.addi(3, 0, 7).encode()
+        assert machine.decode_cache[0] == (OP_ADDI, 3, 0, 0, 7)
+        assert_decoded(machine)
 
     def test_corruption_takes_effect_on_next_fetch(self):
         # Loop increments r3; corrupting the increment to +10 mid-run

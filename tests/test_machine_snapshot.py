@@ -12,6 +12,7 @@ import pytest
 
 from repro.lang import compile_source
 from repro.machine import PAGE_SIZE, boot
+from repro.machine.cpu import decode_fields
 from repro.machine.memory import Memory
 
 SOURCE = """
@@ -50,6 +51,7 @@ def machine_fingerprint(machine):
         machine.heap.capture(),
         machine.instret,
         tuple(machine.code_words),
+        tuple(machine.decode_cache),
     )
 
 
@@ -151,6 +153,7 @@ class TestDebugPortInteraction:
         machine.restore(snapshot)
         assert machine.debug_read_code(address) == original
         assert machine.code_words[2] == original
+        assert machine.decode_cache[2] == decode_fields(original)
         # The repaired instruction must decode and run, not replay a stale
         # cache entry for the corrupted word.
         result = machine.run()
@@ -161,9 +164,11 @@ class TestDebugPortInteraction:
         address = machine.code_base + 12
         machine.debug_write_code(address, 0x60000000)
         snapshot = machine.snapshot()  # snapshot *includes* the corruption
+        machine.debug_write_code(address, 0xDEADBEEF)
         machine.restore(snapshot)
         assert machine.debug_read_code(address) == 0x60000000
         assert machine.code_words[3] == 0x60000000
+        assert machine.decode_cache[3] == decode_fields(0x60000000)
 
     def test_gap_page_write_is_zeroed_on_restore(self, compiled):
         machine = fresh(compiled)

@@ -161,6 +161,7 @@ class TestDiskCodeCache:
         assert {"hits", "misses", "stores", "errors"} <= set(stats["disk"])
 
 
+@pytest.mark.usefixtures("fresh_factory_cache")
 class TestTraceEngineCounters:
     def test_traces_compile_and_invalidate(self):
         machine, result = _boot_loop(n=500)
@@ -173,6 +174,82 @@ class TestTraceEngineCounters:
         engine._sync()
         assert not engine.traces
         assert not engine._prof
+
+    def test_a_warm_boot_adopts_and_counts(self):
+        from repro.observability import trace as obs
+
+        first, cold_result = _boot_loop(n=500)
+        cold = first.block_engine
+        assert cold.compiled > 0 and cold.traces_compiled > 0
+        assert cold.blocks_adopted == cold.traces_adopted == 0
+        previous = obs.set_tracing(True)
+        try:
+            run = obs.begin_run("warm", "c")
+            machine, result = _boot_loop(n=500)
+            payload = obs.end_run(run)
+        finally:
+            obs.set_tracing(previous)
+        assert (result.console, result.instructions) == \
+            (cold_result.console, cold_result.instructions)
+        warm = machine.block_engine
+        # Everything the first boot compiled is instantiated at this
+        # boot's first entries; it compiles nothing itself.
+        assert warm.blocks_adopted > 0 and warm.traces_adopted > 0
+        assert (warm.compiled, warm.traces_compiled) == (0, 0)
+        counters = payload["counters"]
+        assert counters["blocks_adopted"] == warm.blocks_adopted
+        assert counters["traces_adopted"] == warm.traces_adopted
+        assert "blocks_compiled" not in counters
+        assert "traces_compiled" not in counters
+
+    def test_threads_sharing_the_tables_run_exactly(self):
+        # `repro work --workers N` runs machines in threads of one
+        # process, sharing the image tables.  More threads than cores,
+        # a short switch interval, and more images than the cache keeps
+        # (so that images are evicted while other threads use them):
+        # every run must still end where the loop's arithmetic says.
+        import sys
+        import threading
+
+        from repro.isa import assemble_text
+        from repro.machine import Executable
+
+        counts = range(2 * blocks.TRACE_HOT,
+                       2 * blocks.TRACE_HOT + blocks._IMAGE_LIMIT + 16)
+        executables = {}
+        for iterations in counts:
+            program = assemble_text(
+                COLD_LOOP.format(iterations=iterations), base=0x1000)
+            executables[iterations] = Executable(
+                code=program.code, entry=0x1000, symbols=program.symbols)
+        wrong = []
+
+        def boots(offset):
+            order = list(counts)[offset:] + list(counts)[:offset]
+            try:
+                for iterations in order * 2:
+                    machine = boot(executables[iterations], engine="trace")
+                    result = machine.run()
+                    if (result.exit_code, result.instructions) != (
+                            iterations, COLD_OUTSIDE + iterations * COLD_BODY):
+                        wrong.append(iterations)
+            except Exception as error:  # reported by the assertion below
+                wrong.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=boots, args=(17 * k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(blocks._FACTORY_CACHE._images) == blocks._IMAGE_LIMIT
 
     def test_cold_loop_never_forms_a_trace(self):
         # Fewer iterations than TRACE_HOT: stays in block dispatch.

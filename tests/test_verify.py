@@ -389,6 +389,29 @@ class TestFrameAliasMutation:
         assert report.ok() and report.aliased_traces > 0
 
 
+class TestWatchAdoptionMutation:
+    """The fuzzer must catch a machine that adopts a block or trace
+    another machine compiled over one of its fetch-watched pcs."""
+
+    def test_fuzzer_catches_adoption_across_a_watch(self):
+        from tests.test_engine_auto import _adopt_across_watches
+
+        # The state tier boots every program many times, so a fault
+        # run's watch falls inside code an earlier run published.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            _adopt_across_watches(patch)
+            report = run_fuzz(FuzzConfig(seed=0, cases=200, record_tier=False,
+                                         max_divergences=1, shrink=False))
+            assert not report.ok(), "adoption across a watch went undetected"
+            assert report.divergences[0].tier == "state"
+        # The same campaign agrees on every program it reached once the
+        # sabotage is reverted, and it did adopt.
+        report = run_fuzz(FuzzConfig(seed=0, cases=report.state_cases,
+                                     record_tier=False))
+        assert report.ok() and report.adopted > 0
+
+
 @contextlib.contextmanager
 def overshooting_fast_forward():
     """Sabotage the hang extrapolation: one period too many is skipped."""
