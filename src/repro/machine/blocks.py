@@ -56,14 +56,12 @@ DebugUnit` ``generation`` counter (bumped on every watch arm/disarm),
 the memory's segment version, and the literal fetch-watch address set
 (which callers such as the golden-run tracer mutate directly).
 
-The Python *code objects* are cached at module level keyed by the raw
-word tuple — a campaign boots a fresh machine per injection run, so
-per-machine instantiation must be cheap: it is one factory call per
-block or trace, not a re-``compile()``.  The module cache is a bounded
-LRU (:class:`FactoryCache`) backed by an on-disk tier keyed by a content
-hash of the emitted code, so repeated campaign boots of the same binary
-— including the orchestrator's fresh worker processes — skip source
-generation *and* ``compile()`` entirely.
+The factories are cached at module level, keyed by the raw word tuple
+(a block) or by everything the trace emitter reads (a trace): a campaign
+boots a fresh machine per injection run, so per-machine instantiation
+must be cheap — one factory call per block or trace, not a
+re-``compile()``.  The cache is one bounded in-memory LRU per process
+(:class:`FactoryCache`); nothing is written to disk.
 
 **Warm boots.**  Everything derived from the code image alone lives in
 one :class:`CodeImage` per image, inside the :class:`FactoryCache`: the
@@ -90,10 +88,6 @@ attribution and retired-instruction count) as the simple interpreter.
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import marshal
-import os
 from collections import OrderedDict
 from struct import Struct
 from typing import TYPE_CHECKING
@@ -1001,26 +995,12 @@ def _bind_memory(machine: "Machine") -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Factory caching: in-memory LRU + on-disk emitted-code tier
+# Factory caching: one in-memory LRU per process
 # ---------------------------------------------------------------------------
 
 #: Backstop against pathological churn (randomised fuzz programs); real
 #: campaigns use a handful of programs and never approach this.
 _FACTORY_CACHE_LIMIT = 8192
-
-#: Bump to orphan every on-disk entry (key-format changes).  Emitter
-#: *code* changes are caught automatically by :func:`_emitter_fingerprint`.
-_CODEGEN_VERSION = 1
-
-#: Maximum emitted-code entries kept on disk (each entry is a ``.py``
-#: source plus a marshalled code object).
-_DISK_CACHE_LIMIT = 16384
-
-#: On-disk tier telemetry, exposed via :func:`factory_cache_stats`.
-_DISK_STATS = {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
-
-#: Per-directory entry counts (avoids an os.listdir per store).
-_DISK_COUNTS: dict[str, int] = {}
 
 #: Code images whose tables one :class:`FactoryCache` keeps.  A campaign
 #: boots one or two images per process; a source-tier campaign boots a
@@ -1071,6 +1051,14 @@ class FactoryCache:
     The :class:`CodeImage` tables sit in a second LRU, by image, so that
     clearing or replacing the cache also drops every factory a table
     holds.
+
+    It is the only code cache: nothing is written to disk.  The pool's
+    workers are forked (the default start method on Linux), so each
+    starts with what the campaign process had compiled by then.
+
+    Lookups pop and re-insert rather than test and then move, so that
+    worker threads booting machines in one process (``repro work
+    --workers N``) cannot find a key another thread evicts in between.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_entries",
@@ -1085,32 +1073,26 @@ class FactoryCache:
         self._images: OrderedDict = OrderedDict()
 
     def get(self, key):
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.pop(key, None)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        entries[key] = entry
         self.hits += 1
         return entry
 
     def put(self, key, factory) -> None:
+        """Cache *factory* under *key*; a factory already there stays."""
         entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-            return
-        entries[key] = factory
+        entries[key] = entries.pop(key, factory)
         while len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
             _trace.add_counter("factory_cache_evictions", 1)
 
     def image(self, base: int, code: bytes) -> CodeImage:
-        """The table of *code* mapped at *base*, made on first use.
-
-        Re-inserted rather than moved to the end, so that worker threads
-        booting machines in one process (``repro work --workers N``)
-        cannot look up an image that another thread evicts before it
-        moves."""
+        """The table of *code* mapped at *base*, made on first use."""
         key = (base, code)
         images = self._images
         image = images.pop(key, None)
@@ -1144,10 +1126,8 @@ _FACTORY_CACHE = FactoryCache()
 
 
 def factory_cache_stats() -> dict:
-    """Counters for both caching tiers (tests and telemetry)."""
-    stats = _FACTORY_CACHE.stats()
-    stats["disk"] = dict(_DISK_STATS)
-    return stats
+    """Counters of the process's factory cache (tests and telemetry)."""
+    return _FACTORY_CACHE.stats()
 
 
 def code_image(base: int, code: bytes) -> CodeImage:
@@ -1178,158 +1158,14 @@ def _scan(decoded, index: int) -> int:
     return k - index
 
 
-def _disk_cache_dir() -> str | None:
-    """Directory of the on-disk code cache, or ``None`` when disabled.
-
-    ``REPRO_CODE_CACHE`` overrides the location; ``0``/``off``/empty
-    disables the tier entirely.
-    """
-    value = os.environ.get("REPRO_CODE_CACHE")
-    if value is not None:
-        if value.strip().lower() in ("", "0", "off", "none"):
-            return None
-        return value
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(root, "repro", "rx32-code")
-
-
-def _hash_code(h, code) -> None:
-    h.update(code.co_code)
-    for const in code.co_consts:
-        if hasattr(const, "co_code"):
-            _hash_code(h, const)
-        else:
-            h.update(repr(const).encode("utf-8", "replace"))
-
-
-def _emitter_codes() -> tuple:
-    """``(name, code object)`` of every code generator, in hashing order."""
-    codes = []
-    for cls in (_Emitter, _TraceEmitter):
-        for name in sorted(vars(cls)):
-            code = getattr(vars(cls)[name], "__code__", None)
-            if code is not None:
-                codes.append((name, code))
-    # The memory binding and slow path define what emitted code calls by
-    # position, so they are part of the code generator.
-    for fn in (_generate_source, _generate_trace_source, _bind_memory,
-               _memory_slow_path):
-        codes.append((None, fn.__code__))
-    return tuple(codes)
-
-
-#: ``(_emitter_codes(), digest)`` of the last fingerprint computed.
-_FINGERPRINT: tuple = ((), "")
-
-
-def _emitter_fingerprint() -> str:
-    """Content hash of the code generators themselves.
-
-    Folded into every disk key so that editing (or monkeypatching — the
-    differential fuzzer's mutation tests do) any emitter invalidates
-    stale on-disk entries instead of silently serving old code.  Hashing
-    is recomputed only when a generator's code object changed since the
-    last call.
-    """
-    global _FINGERPRINT
-    codes = _emitter_codes()
-    if codes != _FINGERPRINT[0]:
-        h = hashlib.sha256()
-        for name, code in codes:
-            if name is not None:
-                h.update(name.encode())
-            _hash_code(h, code)
-        _FINGERPRINT = (codes, h.hexdigest())
-    return _FINGERPRINT[1]
-
-
-def _disk_load(digest: str):
-    """Fetch a compiled factory code object from the disk tier."""
-    directory = _disk_cache_dir()
-    if directory is None:
-        return None
-    magic = importlib.util.MAGIC_NUMBER
-    try:
-        with open(os.path.join(directory, digest + ".bin"), "rb") as handle:
-            blob = handle.read()
-        if blob[: len(magic)] == magic:
-            code = marshal.loads(blob[len(magic):])
-            _DISK_STATS["hits"] += 1
-            return code
-        # Bytecode from another interpreter version: recompile the
-        # stored source instead (and the store below refreshes .bin).
-        path = os.path.join(directory, digest + ".py")
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        code = compile(source, path, "exec")
-        _DISK_STATS["hits"] += 1
-        return code
-    except (OSError, ValueError, EOFError, TypeError, SyntaxError):
-        _DISK_STATS["misses"] += 1
-        return None
-
-
-def _disk_store(digest: str, source: str, marshalled: bytes) -> None:
-    """Persist emitted source + marshalled code object, atomically.
-
-    Failures only cost the cache (never correctness); a full directory
-    stops accepting new entries rather than racing concurrent workers
-    over eviction.
-    """
-    directory = _disk_cache_dir()
-    if directory is None:
-        return
-    try:
-        count = _DISK_COUNTS.get(directory)
-        if count is None:
-            try:
-                count = len(os.listdir(directory)) // 2
-            except OSError:
-                count = 0
-            _DISK_COUNTS[directory] = count
-        if count >= _DISK_CACHE_LIMIT:
-            return
-        os.makedirs(directory, exist_ok=True)
-        blob = importlib.util.MAGIC_NUMBER + marshalled
-        for name, data in (
-            (digest + ".py", source.encode("utf-8")),
-            (digest + ".bin", blob),
-        ):
-            path = os.path.join(directory, name)
-            tmp = f"{path}.tmp{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        _DISK_COUNTS[directory] = count + 1
-        _DISK_STATS["stores"] += 1
-    except OSError:
-        _DISK_STATS["errors"] += 1
-
-
 def _load_factory(kind: str, key, filename: str, generate):
-    """Resolve a factory through both cache tiers, generating on miss."""
+    """The factory cached under ``(kind, key)``, generated on a miss."""
     cache_key = (kind, key)
     factory = _FACTORY_CACHE.get(cache_key)
     if factory is not None:
         return factory
-    digest = hashlib.sha256(
-        repr(
-            (kind, _CODEGEN_VERSION, _emitter_fingerprint(), key)
-        ).encode("ascii")
-    ).hexdigest()
-    code = _disk_load(digest)
-    if code is None:
-        source = generate()
-        marshalled = marshal.dumps(compile(source, filename, "exec"))
-        _disk_store(digest, source, marshalled)
-        # Run the unmarshalled copy, as a disk hit does: marshalling
-        # leaves a second copy of every code object's bytecode cached on
-        # the compiled original.
-        code = marshal.loads(marshalled)
     namespace: dict = {}
-    exec(code, namespace)
+    exec(compile(generate(), filename, "exec"), namespace)
     factory = namespace["factory"]
     _FACTORY_CACHE.put(cache_key, factory)
     return factory

@@ -118,6 +118,20 @@ class CampaignBundle:
         return bundle
 
 
+def _optional_positive(payload: dict, name: str) -> int | None:
+    """``payload[name]``, which must be absent, ``None`` or an integer >= 1.
+
+    Checked on receipt, before the broker writes anything: a value the
+    scheduler refuses later would leave a campaign on disk that the
+    broker cannot recover at its next start."""
+    value = payload.get(name)
+    if value is None or (type(value) is int and value >= 1):
+        return value
+    raise ProtocolError(
+        f"{name} must be null or a positive integer, got {value!r}"
+    )
+
+
 @dataclass(frozen=True)
 class CampaignOptions:
     """JSON-safe execution options riding beside the bundle.
@@ -167,12 +181,12 @@ class CampaignOptions:
             raise ProtocolError(str(error)) from None
         return CampaignOptions(
             seed=int(payload.get("seed", 0)),
-            shard_size=payload.get("shard_size"),
+            shard_size=_optional_positive(payload, "shard_size"),
             engine=engine,
             snapshot=snapshot,
             trace=bool(payload.get("trace", False)),
             label=payload.get("label"),
-            max_attempts=payload.get("max_attempts"),
+            max_attempts=_optional_positive(payload, "max_attempts"),
             workers_hint=int(payload.get("workers_hint", 4)),
             extra=dict(payload.get("extra", {})),
         )

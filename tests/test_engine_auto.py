@@ -279,7 +279,6 @@ class TestWarmBootSabotage:
     @staticmethod
     def _run(outcome, sabotage=None):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_CODE_CACHE", "off")
             patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
             if sabotage is not None:
                 sabotage(patch)
@@ -305,52 +304,22 @@ class TestWarmBootSabotage:
 
 
 class TestEmitterFingerprint:
-    @pytest.mark.parametrize("owner, name", [
-        ("_Emitter", "_emit_xo"),
-        ("_TraceEmitter", "emit_guard"),
-    ])
-    def test_replacing_an_emitter_method_changes_it(self, monkeypatch,
-                                                   owner, name):
-        before = blocks._emitter_fingerprint()
-        assert blocks._emitter_fingerprint() == before
-        cls = getattr(blocks, owner)
-        original = getattr(cls, name)
+    """The in-memory factory key holds everything an emitter reads, so
+    a changed input never hits a factory emitted for another."""
 
-        def replaced(self, *args):
-            return original(self, *args)
-
-        monkeypatch.setattr(cls, name, replaced)
-        assert blocks._emitter_fingerprint() != before
-        monkeypatch.undo()
-        assert blocks._emitter_fingerprint() == before
-
-    @pytest.mark.parametrize("name", ["_memory_slow_path", "_bind_memory"])
-    def test_replacing_the_memory_helpers_changes_it(self, monkeypatch, name):
-        # Emitted code calls these by position: a disk entry built
-        # against the old ones must not be served.
-        before = blocks._emitter_fingerprint()
-        original = getattr(blocks, name)
-
-        def replaced(*args):
-            return original(*args)
-
-        monkeypatch.setattr(blocks, name, replaced)
-        assert blocks._emitter_fingerprint() != before
-        monkeypatch.undo()
-        assert blocks._emitter_fingerprint() == before
-
-
-    def test_the_frame_decision_is_part_of_the_trace_key(self, tmp_path,
-                                                         monkeypatch):
-        # A disk entry emitted while traces had no frame slots must not
-        # be served to traces that have them: the frame decision is in
-        # the trace factory's key, so the second run emits afresh.
-        monkeypatch.setenv("REPRO_CODE_CACHE", str(tmp_path))
+    def test_the_frame_decision_is_part_of_the_trace_key(self, monkeypatch):
+        # A factory emitted while traces had no frame slots must not be
+        # served to traces that have them: the frame decision is in the
+        # trace factory's key, so the second run emits afresh.
+        cache = blocks.FactoryCache()
+        monkeypatch.setattr(blocks, "_FACTORY_CACHE", cache)
         compiled = compile_source(TestMemoKeysIgnoreTheEngine.SOURCE,
                                   "frame-key")
 
         def traces_with_frames():
-            monkeypatch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
+            # Without the image tables the machine adopts nothing: it
+            # forms its own traces and looks each factory up by its key.
+            cache._images.clear()
             machine = boot(compiled.executable, inputs={"in_n": 200},
                            engine=ENGINE_TRACE)
             assert machine.run().status == "exited"

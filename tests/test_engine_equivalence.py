@@ -625,7 +625,6 @@ def _slow_path_calls(executable, inputs, *, inline=True, frames=True):
         return counted
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("REPRO_CODE_CACHE", "off")
         patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
         patch.setattr(blocks, "_memory_slow_path", counting)
         if not inline:
@@ -702,7 +701,6 @@ class TestInlineBoundSabotage:
         # The first addresses past the stack and the 24-byte data segment.
         ends = (STACK_REGION + STACK_SIZE, 0x0010_0018)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_CODE_CACHE", "off")
             patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
             patch.setattr(blocks._Emitter, "_inline", self._inclusive_bound)
             for address in ends:
@@ -898,7 +896,6 @@ class TestFrameSlotSabotage:
 
     def _sabotaged(self, sabotage, states):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_CODE_CACHE", "off")
             patch.setattr(blocks, "_FACTORY_CACHE", blocks.FactoryCache())
             sabotage(patch)
             return states()

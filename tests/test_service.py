@@ -196,6 +196,17 @@ UNRUNNABLE_OPTIONS = [
     ("snapshot", "bogus"),
 ]
 
+#: Sizes the scheduler or the retry policy cannot use: each is refused on
+#: receipt, before the broker writes the campaign to disk.
+MALFORMED_SIZES = [
+    ("shard_size", 0),
+    ("shard_size", -2),
+    ("shard_size", "4"),
+    ("max_attempts", 0),
+    ("max_attempts", -1),
+    ("max_attempts", True),
+]
+
 
 class TestProtocol:
     def test_blob_roundtrip(self):
@@ -579,6 +590,29 @@ class TestHTTP:
         assert excinfo.value.code == 400
         assert f"{field} must be one of" in str(excinfo.value)
         assert not state.campaigns
+
+    @pytest.mark.parametrize("field, value", MALFORMED_SIZES)
+    def test_malformed_sizes_are_refused_before_any_write(
+        self, http_broker, campaign, field, value
+    ):
+        state, _, client = http_broker
+        runner, faults = campaign
+        fingerprint, opts, bundle = make_submission(runner, faults,
+                                                    **{field: value})
+        message = f"{field} must be null or a positive integer"
+        with pytest.raises(ProtocolError, match=message):
+            CampaignOptions.from_dict(opts.to_dict())
+        with pytest.raises(ProtocolError, match=message):
+            state.submit(fingerprint, opts.to_dict(), bundle.to_blob())
+        with pytest.raises(BrokerRequestError) as excinfo:
+            client.submit(fingerprint, opts.to_dict(), bundle.to_blob())
+        assert excinfo.value.code == 400
+        assert message in str(excinfo.value)
+        assert not state.campaigns
+        assert os.listdir(os.path.join(state.state_dir, "campaigns")) == []
+        reborn = BrokerState(state.state_dir, clock=FakeClock())
+        assert not reborn.campaigns
+        assert reborn.lease("w")["status"] == STATUS_IDLE
 
     def test_full_campaign_over_http_is_bit_identical(
         self, http_broker, campaign, serial_journal

@@ -1,15 +1,15 @@
-"""The trace engine: factory caching, disk code cache, counters.
+"""The trace engine: factory caching, counters.
 
 The bit-identity of ``engine="trace"`` is proven in
 ``test_engine_equivalence.py``; this module covers the machinery around
-it — the bounded :class:`FactoryCache` LRU (ISSUE 8 satellite: the old
-unbounded dict grew across a long-lived campaign worker), the on-disk
-emitted-code cache keyed by code-word hash, the engine's observability
-counters, and that its block tier runs compiled code where no trace
-forms.
+it — the bounded :class:`FactoryCache` LRU (the old unbounded dict grew
+across a long-lived campaign worker), that compiled code is cached in
+memory only, the engine's observability counters, and that its block
+tier runs compiled code where no trace forms.
 """
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -95,7 +95,6 @@ class TestFactoryCacheLRU:
         from repro.srcfi import SourceLocator
         from repro.swifi import CampaignConfig, CampaignRunner, InputCase
 
-        monkeypatch.setenv("REPRO_CODE_CACHE", "off")
         bounded = FactoryCache(capacity=8)
         monkeypatch.setattr(blocks, "_FACTORY_CACHE", bounded)
 
@@ -109,56 +108,64 @@ class TestFactoryCacheLRU:
         assert len(bounded) <= 8
         assert bounded.evictions > 0
 
+    def test_a_concurrent_eviction_between_lookup_and_refresh(self):
+        """``repro work --workers N`` threads share one cache: another
+        thread may evict a key just after this one looked it up."""
+
+        class EvictedAfterFirstLookup(OrderedDict):
+            def __init__(self, key, *items):
+                super().__init__(*items)
+                self.key = key
+
+            def _evict(self):
+                key, self.key = self.key, None
+                if key is not None:
+                    OrderedDict.pop(self, key, None)
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                self._evict()
+                return value
+
+            def pop(self, key, *default):
+                value = super().pop(key, *default)
+                self._evict()
+                return value
+
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                self._evict()
+                return found
+
+        cache = FactoryCache(capacity=4)
+        cache._entries = EvictedAfterFirstLookup("a", [("a", 1), ("b", 2)])
+        assert cache.get("a") == 1
+        assert list(cache._entries) == ["b", "a"]
+        cache._entries = EvictedAfterFirstLookup("a", [("a", 1), ("b", 2)])
+        cache.put("a", 3)
+        assert list(cache._entries.items()) == [("b", 2), ("a", 1)]
+
 
 class TestDiskCodeCache:
-    def test_round_trip_and_corruption_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CODE_CACHE", str(tmp_path))
-        monkeypatch.setattr(blocks, "_FACTORY_CACHE", FactoryCache())
-        monkeypatch.setattr(
-            blocks, "_DISK_STATS",
-            {"hits": 0, "misses": 0, "stores": 0, "errors": 0})
-        monkeypatch.setattr(blocks, "_DISK_COUNTS", {})
+    """There is no on-disk tier: compiled code lives in the process's
+    :class:`FactoryCache` only."""
 
-        _, first = _boot_loop()
-        assert blocks._DISK_STATS["stores"] > 0
-        sources = sorted(tmp_path.glob("*.py"))
-        binaries = sorted(tmp_path.glob("*.bin"))
-        assert sources and len(sources) == len(binaries)
-
-        # A fresh in-memory cache must be served from disk, bit-identically.
-        blocks._FACTORY_CACHE.clear()
-        before = blocks._DISK_STATS["hits"]
-        _, second = _boot_loop()
-        assert blocks._DISK_STATS["hits"] > before
-        assert (second.console, second.instructions) == \
-            (first.console, first.instructions)
-
-        # A wrong-magic .bin (interpreter upgrade) falls back to the
-        # stored .py source and still executes correctly.
-        for path in binaries:
-            data = path.read_bytes()
-            path.write_bytes(b"\x00\x00\x00\x00" + data[4:])
-        blocks._FACTORY_CACHE.clear()
-        _, third = _boot_loop()
-        assert (third.console, third.instructions) == \
-            (first.console, first.instructions)
-
-    def test_off_switch_disables_the_tier(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CODE_CACHE", "off")
-        monkeypatch.setattr(blocks, "_FACTORY_CACHE", FactoryCache())
-        monkeypatch.setattr(
-            blocks, "_DISK_STATS",
-            {"hits": 0, "misses": 0, "stores": 0, "errors": 0})
-        _boot_loop()
-        assert blocks._DISK_STATS == {"hits": 0, "misses": 0,
-                                      "stores": 0, "errors": 0}
+    def test_a_trace_run_writes_nothing_to_the_user_cache(
+            self, tmp_path, monkeypatch, fresh_factory_cache):
+        monkeypatch.delenv("REPRO_CODE_CACHE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("HOME", str(tmp_path))
+        machine, result = _boot_loop()
+        assert result.status == "exited"
+        assert machine.block_engine.traces_compiled > 0
+        assert len(fresh_factory_cache) > 0
         assert not list(tmp_path.iterdir())
 
     def test_stats_surface_includes_both_tiers(self):
         stats = factory_cache_stats()
-        assert {"size", "capacity", "hits", "misses",
-                "evictions", "disk"} <= set(stats)
-        assert {"hits", "misses", "stores", "errors"} <= set(stats["disk"])
+        assert stats == blocks._FACTORY_CACHE.stats()
+        assert set(stats) == {"size", "capacity", "hits", "misses",
+                              "evictions"}
 
 
 @pytest.mark.usefixtures("fresh_factory_cache")
