@@ -65,9 +65,8 @@ def _add_engine_flag(parser, help_text: str = "machine execution engine") -> Non
     """``--engine`` with ``CampaignConfig``'s default, for every campaign command."""
     parser.add_argument(
         "--engine", choices=CAMPAIGN_ENGINES, default=CampaignConfig.engine,
-        help=f"{help_text}; 'auto' (default) runs single-core programs on "
-             "'trace' and multi-core ones on 'simple' (records are "
-             "bit-identical on every engine)",
+        help=f"{help_text}; 'auto' (default) runs every program on "
+             "'trace' (records are bit-identical on every engine)",
     )
 
 

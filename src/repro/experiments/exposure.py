@@ -121,7 +121,7 @@ def run_exposure(config: ExperimentConfig | None = None) -> ExposureResult:
             else max(50, config.table1_runs_jamesb // 2)
         )
         rng = random.Random(config.seed + 41)
-        engine = resolve_engine(ENGINE_AUTO, workload.num_cores)
+        engine = resolve_engine(ENGINE_AUTO)
         executed = failures = 0
         activations_total = 0
         for _ in range(runs):

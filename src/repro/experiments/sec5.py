@@ -110,7 +110,7 @@ def _emulation_accuracy(fault: RealFault, mode: str, inputs: int, seed: int) -> 
     faulty = workload.compiled_faulty()
     specs = fault.build_emulation(corrected, mode=mode)
     rng = random.Random(seed)
-    engine = resolve_engine(ENGINE_AUTO, workload.num_cores)
+    engine = resolve_engine(ENGINE_AUTO)
     matches = 0
     for _ in range(inputs):
         pokes = workload.generate_pokes(rng)

@@ -379,7 +379,7 @@ def run_srcfi_compare(
             compiled, cases, num_cores=workload.num_cores,
             budget_factor=config.budget_factor,
         )
-        runner.engine = resolve_engine(engine, workload.num_cores)
+        runner.engine = resolve_engine(engine)
         runner.calibrate()
         workload_state[workload.name] = (
             compiled, cases, dict(runner.budgets), workload.num_cores,

@@ -96,7 +96,7 @@ def run_table1(config: ExperimentConfig | None = None) -> Table1Result:
         )
         faulty = workload.compiled_faulty()
         rng = random.Random(input_seed(config.seed, workload.name))
-        engine = resolve_engine(ENGINE_AUTO, workload.num_cores)
+        engine = resolve_engine(ENGINE_AUTO)
         wrong = hangs = crashes = 0
         for _ in range(runs):
             pokes = workload.generate_pokes(rng)

@@ -4,7 +4,9 @@ The per-instruction interpreter in :mod:`repro.machine.cpu` pays fetch,
 bounds check, decode-cache lookup and a long if/elif dispatch for every
 retired instruction.  Campaign throughput lives in that loop, so this
 module trades a one-time compilation cost for straight-line execution.
-:class:`TraceEngine` runs two tiers over one dispatch loop.
+:class:`TraceEngine` runs two tiers over one dispatch loop on a
+single-core machine; :class:`MultiCoreEngine` runs the block tier alone,
+with range closures, on a multi-core one.
 
 **The block tier** is what every PC starts on:
 
@@ -30,6 +32,24 @@ module trades a one-time compilation cost for straight-line execution.
   the next PC carries a fetch watch, and for the entire remainder of a
   quantum while any data watch or one-shot load/store transform is
   armed — so every fault-injection hook keeps bit-identical semantics.
+
+**Range closures and the multi-core block tier.**  :meth:`Machine.run`
+gives each core of a multi-core machine 64-instruction turns.  A turn
+leaves a trace almost nothing to batch and cannot repay forming one, so
+:class:`MultiCoreEngine` neither profiles branches nor forms traces.
+What it needs instead is a way to split a block at a turn end: each
+block may also get one *range closure*, ``run(core, regs, j, n)``, that
+executes the block's instructions ``j`` to ``n - 1`` (each behind a
+start and a stop test), never folds ``r0`` to a constant, and on a trap
+retires ``ip + 1 - j`` instructions.  A block that does not fit the
+rest of a turn runs its first ``r`` instructions at the end of that
+turn and the rest at the start of the next, both from that closure; a
+stretch that ends at a fetch-watched pc stops before it, and after the
+watched pc is stepped, the rest of the block runs from the same
+closure.  So a pc where a turn or a fetch watch stopped a block never
+compiles a block of its own.  A range closure runs in the interpreter
+at its first use and compiles at its second, and is cached, published
+and adopted like a block.
 
 **The trace tier** rides on block dispatch: it profiles block-entry
 execution counts and branch outcomes during warmup, chains hot blocks
@@ -78,6 +98,14 @@ fetch-watched on the adopting machine, a block or trace a fetch watch
 cut is never published, and a closure runs the same code whichever
 machine built its factory.  Closures (they bind each machine's memory),
 branch profiles and bailouts stay per machine.
+
+**Release.**  Every closure binds its machine, so a finished machine
+would keep its blocks, ranges and traces alive in the Machine, Core and
+closure cycle until the cyclic GC runs.  The campaign code that owns a
+machine (``execute_injection_run``, ``CampaignRunner.calibrate_case``)
+calls :meth:`TraceEngine.release` once the run is over, which drops
+them, the branch profile and the memory binding.  ``Machine.run`` does
+not: tests inspect the engine after it.
 
 Correctness contract (enforced by ``tests/test_engine_equivalence.py``):
 for any program and any fault from the paper's Table-3 classes, the
@@ -558,6 +586,100 @@ def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str
     return "\n".join(out)
 
 
+class _RangeEmitter(_Emitter):
+    """Emits the instructions of one block's range closure.
+
+    Which instructions ran before any one of them depends on where the
+    range starts, so ``r0`` is never folded to the literal ``0``: every
+    read names the local, and every register write zeroes it again.
+    """
+
+    def read(self, reg: int) -> str:
+        self.used[reg] = True
+        return f"r{reg}"
+
+    def write(self, rd: int, expr: str) -> None:
+        super().write(rd, expr)
+        self.r0_zero = False
+
+
+def _generate_range_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str:
+    """Python source of the factory producing one block's range closure.
+
+    ``run(core, regs, j, n) -> next_pc`` executes the block's
+    instructions ``j`` to ``n - 1`` (``0 <= j < n <= count``): each
+    instruction sits behind ``if j <= k``, and ``if n == k + 1`` leaves
+    the ``while`` after it.  The terminator runs only when ``n == count``
+    and returns its target; an earlier stop returns ``entry_pc + 4 * n``.
+    A trap retires ``ip + 1 - j`` instructions.
+    """
+    em = _RangeEmitter()
+    count = len(decoded)
+    last = count - 1
+    terminal = decoded[last][0] in _TERMINATORS
+    body: list[str] = []
+    for k in range(last if terminal else count):
+        start = len(em.lines)
+        em.emit(k, decoded[k])
+        lines = em.lines[start:]
+        if k < last:
+            body.append(f"if j <= {k}:")
+            body += ["    " + line for line in lines]
+            body += [f"if n == {k + 1}:", "    break"]
+        else:
+            body += lines
+            body.append("break")
+    if terminal:
+        start = len(em.lines)
+        ret = em.emit_terminal(last, decoded[last])
+        tail = em.lines[start:]
+
+    hoists = [f"r{reg} = regs[{reg}]" for reg in em.used]
+    writebacks = [f"regs[{reg}] = r{reg}" for reg in em.used]
+    if em.uses_cr:
+        hoists.append("cr = core.cr")
+        writebacks.append("core.cr = cr")
+    if em.uses_lr:
+        hoists.append("lr = core.lr")
+        writebacks.append("core.lr = lr")
+    if terminal:
+        body += tail + writebacks + [ret]
+
+    out = [
+        "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
+        "            lo0, hi0, lo1, hi1, slow, unpack, pack, ArithmeticTrap, Trap):",
+    ]
+    out += ["    " + line for line in em.prelude]
+    out.append("    def run(core, regs, j, n):")
+    inner = "            " if em.can_trap else "        "
+    if em.can_trap:
+        out.append("        try:")
+    out += [inner + line for line in hoists]
+    out.append(inner + "while True:")
+    out += [inner + "    " + line for line in body]
+    out += [inner + line for line in writebacks]
+    out.append(inner + "return entry_pc + 4 * n")
+    if em.can_trap:
+        out.append("        except Trap as err:")
+        handler = "            "
+        out += [handler + line for line in writebacks]
+        out += [
+            handler + "_n = ip + 1 - j",
+            handler + "core.instret += _n",
+            handler + "machine.instret += _n",
+            handler + "pc = entry_pc + ip * 4",
+            handler + "core.pc = pc",
+            handler + "if err.pc is None:",
+            handler + "    err.pc = pc",
+            handler + "if err.core_id is None:",
+            handler + "    err.core_id = core.core_id",
+            handler + "raise",
+        ]
+    out.append("    return run")
+    out.append("")
+    return "\n".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Superblock traces
 # ---------------------------------------------------------------------------
@@ -1020,6 +1142,8 @@ class CodeImage:
       fetch-watched;
     * ``blocks``: entry pc → factory of that whole block, once some
       machine compiled it;
+    * ``ranges``: entry pc → factory of that block's range closure, once
+      some multi-core machine compiled it;
     * ``traces``: entry pc → ``(count, factory, span, aliased)`` of a
       trace some machine formed there; ``span`` is the set of pcs its
       instructions occupy.
@@ -1029,13 +1153,14 @@ class CodeImage:
     branch profiles and bailouts stay with each :class:`TraceEngine`.
     """
 
-    __slots__ = ("words", "decoded", "lengths", "blocks", "traces")
+    __slots__ = ("words", "decoded", "lengths", "blocks", "ranges", "traces")
 
     def __init__(self, code: bytes) -> None:
         self.words = Struct(f">{len(code) // 4}I").unpack(code)
         self.decoded = tuple(map(decode_fields, self.words))
         self.lengths: dict[int, int] = {}
         self.blocks: dict[int, object] = {}
+        self.ranges: dict[int, object] = {}
         self.traces: dict[int, tuple] = {}
 
 
@@ -1179,6 +1304,14 @@ def _factory_for(words: tuple[int, ...]):
     return _load_factory("block", words, f"<rx32-block[{len(words)}]>", generate)
 
 
+def _range_factory_for(words: tuple[int, ...]):
+    def generate() -> str:
+        decoded = tuple(decode_fields(word) for word in words)
+        return _generate_range_source(decoded)
+
+    return _load_factory("range", words, f"<rx32-range[{len(words)}]>", generate)
+
+
 def _trace_factory_for(steps, terminal, frame, count, looping):
     # The frame decision is part of the key: the generator is a pure
     # function of it, so a changed decision never hits a stale entry.
@@ -1225,6 +1358,9 @@ class TraceEngine:
         "blocks_adopted",
         "invalidated",
         "_binding",
+        "ranges",
+        "ranges_compiled",
+        "ranges_adopted",
         "traces",
         "_prof",
         "traces_compiled",
@@ -1253,6 +1389,13 @@ class TraceEngine:
         #: ``_bind_memory(machine)``, built on the first compile after
         #: every ``_sync`` that invalidated.
         self._binding: tuple | None = None
+        #: block entry pc → its range closure, or ``None`` after its
+        #: first use (see :class:`MultiCoreEngine`; empty on one core)
+        self.ranges: dict[int, object] = {}
+        #: range closures compiled on this machine's second use
+        self.ranges_compiled = 0
+        #: range closures another machine compiled, adopted at a first use
+        self.ranges_adopted = 0
         #: entry pc → (iteration instruction count, run closure); the
         #: ``_NO_TRACE`` sentinel marks entries block dispatch owns.
         self.traces: dict[int, tuple] = {}
@@ -1271,15 +1414,33 @@ class TraceEngine:
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every compiled block and trace, and the branch profile."""
+        """Drop every compiled block, range and trace, and the branch
+        profile."""
         if self.blocks:
             self.invalidated += len(self.blocks)
             _trace.add_counter("blocks_invalidated", len(self.blocks))
             self.blocks.clear()
+        self.ranges.clear()
         if self.traces:
             _trace.add_counter("traces_invalidated", len(self.traces))
             self.traces.clear()
         self._prof.clear()
+
+    def release(self) -> None:
+        """Drop what this machine compiled and bound, once its run is over.
+
+        Every closure binds the machine, so until the cyclic GC runs a
+        finished machine would keep its blocks, ranges and traces alive
+        through the Machine, Core and closure cycle.  The campaign code
+        that owns a machine calls this when it is done with it.  The
+        machine can still run: it re-enters its blocks as after an
+        invalidation, without counting one.
+        """
+        self.blocks.clear()
+        self.ranges.clear()
+        self.traces.clear()
+        self._prof.clear()
+        self._binding = None
 
     def _sync(self) -> None:
         """Invalidate if code, watches or segments changed since last sync.
@@ -1307,14 +1468,9 @@ class TraceEngine:
 
     # -- compilation -------------------------------------------------------
 
-    def _block_length(self, entry_pc: int) -> int:
-        """Instructions in the basic block headed at *entry_pc* (0 when
-        the PC cannot head a compiled block).
-
-        A fetch-watched PC (including the entry itself) is never part of
-        a compiled block: the dispatcher single-steps it so the watch
-        handler runs with architecturally exact state.
-        """
+    def _full_length(self, entry_pc: int) -> int:
+        """Instructions in the basic block headed at *entry_pc* when no
+        pc is fetch-watched (0 when the PC cannot head a compiled block)."""
         image = self._image
         length = None if image is None else image.lengths.get(entry_pc)
         if length is None:
@@ -1323,6 +1479,17 @@ class TraceEngine:
                            (entry_pc - machine.code_base) >> 2)
             if image is not None:
                 image.lengths[entry_pc] = length
+        return length
+
+    def _block_length(self, entry_pc: int) -> int:
+        """Instructions in the basic block headed at *entry_pc* (0 when
+        the PC cannot head a compiled block).
+
+        A fetch-watched PC (including the entry itself) is never part of
+        a compiled block: the dispatcher single-steps it so the watch
+        handler runs with architecturally exact state.
+        """
+        length = self._full_length(entry_pc)
         for pc in self._watch_keys:
             if entry_pc <= pc < entry_pc + 4 * length:
                 length = (pc - entry_pc) >> 2
@@ -1371,18 +1538,24 @@ class TraceEngine:
         return factory(entry_pc, *binding)
 
     def _compile(self, entry_pc: int, count: int) -> tuple:
+        entry = (count, self._compile_block(entry_pc, count))
+        self.blocks[entry_pc] = entry
+        return entry
+
+    def _compile_block(self, entry_pc: int, count: int):
+        """The closure of the *count*-instruction block at *entry_pc*,
+        compiled here; published when it is the image's whole block."""
         machine = self.machine
         index = (entry_pc - machine.code_base) >> 2
         with _trace.phase(_trace.PHASE_BLOCK_COMPILE):
             factory = _factory_for(tuple(machine.code_words[index : index + count]))
-            entry = (count, self._instantiate(factory, entry_pc))
-        self.blocks[entry_pc] = entry
+            run = self._instantiate(factory, entry_pc)
         self.compiled += 1
         _trace.add_counter("blocks_compiled", 1)
         image = self._image
         if image is not None and count == image.lengths[entry_pc]:
             image.blocks.setdefault(entry_pc, factory)
-        return entry
+        return run
 
     # -- trace formation ---------------------------------------------------
 
@@ -1689,8 +1862,212 @@ class TraceEngine:
             raise
 
 
+class MultiCoreEngine(TraceEngine):
+    """``trace`` on a multi-core machine: the block tier alone.
+
+    :meth:`Machine.run` gives each core 64-instruction turns, which
+    leaves a trace almost nothing to batch, so this engine neither
+    profiles branches nor forms traces.  A turn ends inside a block
+    whenever the block does not fit the rest of it, so every block
+    here also has a *range closure* (:func:`_generate_range_source`):
+    the block's first ``r`` instructions run at the end of one turn and
+    the rest at the start of the next, both from that one closure,
+    instead of in the interpreter or from a block compiled at each pc a
+    turn happens to end on.
+
+    ``blocks`` maps every pc the dispatcher has stopped at to
+    ``(count, run, head, j)``: the pc is instruction ``j`` of the block
+    headed at ``head``, and ``count`` instructions run from it before
+    the block ends or a fetch-watched pc (0: single-step this pc).
+    ``run`` is the block's own closure where the pc heads a whole
+    unwatched block (``None`` until its second entry), and ``False``
+    elsewhere: a stretch that is not a whole block, or does not fit the
+    turn, runs from ``ranges[head]``.  A range closure is adopted from
+    the image or left to the interpreter at its first use and compiled
+    at its second; it is published and adopted under the same rules as
+    a block, and since the dispatcher never runs a stretch across a
+    fetch-watched pc, the pc after a watch continues in the watched
+    block's range closure too.
+    """
+
+    __slots__ = ()
+
+    def _locate(self, head: int, j: int) -> tuple:
+        """The entry of instruction *j* of the block headed at *head*."""
+        length = self._full_length(head)
+        pc = head + 4 * j
+        count = length - j
+        for watched in self._watch_keys:
+            if pc <= watched < pc + 4 * count:
+                count = (watched - pc) >> 2
+        run = False
+        if not j and count == length and count:
+            run = None
+            image = self._image
+            factory = None if image is None else image.blocks.get(head)
+            if factory is not None:
+                run = self._instantiate(factory, head)
+                self.blocks_adopted += 1
+                _trace.add_counter("blocks_adopted", 1)
+        elif j + count < length:
+            # The stretch stops at a fetch-watched pc, which is stepped
+            # as instruction j + count of this block.
+            self.blocks.setdefault(pc + 4 * count, (0, False, head, j + count))
+        entry = (count, run, head, j)
+        self.blocks[pc] = entry
+        return entry
+
+    def _compile_whole(self, head: int, count: int):
+        run = self._compile_block(head, count)
+        self.blocks[head] = (count, run, head, 0)
+        return run
+
+    def _range(self, head: int):
+        """The range closure of the block at *head* at its first use
+        (adopted from the image, or ``None``: the interpreter runs it)
+        or at its second (compiled)."""
+        ranges = self.ranges
+        image = self._image
+        if head not in ranges:
+            factory = None if image is None else image.ranges.get(head)
+            run = None
+            if factory is not None:
+                run = self._instantiate(factory, head)
+                self.ranges_adopted += 1
+                _trace.add_counter("ranges_adopted", 1)
+            ranges[head] = run
+            return run
+        machine = self.machine
+        index = (head - machine.code_base) >> 2
+        words = tuple(machine.code_words[index : index + self._full_length(head)])
+        with _trace.phase(_trace.PHASE_BLOCK_COMPILE):
+            factory = _range_factory_for(words)
+            run = ranges[head] = self._instantiate(factory, head)
+        self.ranges_compiled += 1
+        _trace.add_counter("ranges_compiled", 1)
+        if image is not None:
+            image.ranges.setdefault(head, factory)
+        return run
+
+    def dispatch(self, core: "Core", limit: int) -> int:
+        """:meth:`TraceEngine.dispatch` for one turn of a multi-core
+        machine: the same contract and the same hook and trap handling,
+        over block and range closures only."""
+        machine = self.machine
+        self._sync()
+        blocks = self.blocks
+        blocks_get = blocks.get
+        ranges_get = self.ranges.get
+        simple = core._run_quantum_simple
+        regs = core.regs
+        executed = 0
+        pending = 0
+        pc = core.pc
+        check_hooks = True
+        try:
+            while executed < limit:
+                if check_hooks:
+                    if (
+                        machine._load_watch
+                        or machine._store_watch
+                        or core._load_transform is not None
+                        or core._store_transform is not None
+                    ):
+                        core.pc = pc
+                        core.instret += pending
+                        machine.instret += pending
+                        pending = 0
+                        executed += simple(limit - executed)
+                        if core.halted or core.blocked:
+                            return executed
+                        pc = core.pc
+                        continue  # handlers may have disarmed; re-check
+                    check_hooks = False
+                left = limit - executed
+                entry = blocks_get(pc)
+                if entry is None:
+                    core.pc = pc
+                    if pc < machine.code_base or pc >= machine.code_end:
+                        core.instret += pending
+                        machine.instret += pending
+                        pending = 0
+                        executed += simple(left)  # fetch trap
+                        if core.halted or core.blocked:  # pragma: no cover
+                            return executed
+                        pc = core.pc  # pragma: no cover
+                        continue  # pragma: no cover
+                    entry = self._locate(pc, 0)
+                    if entry[1] is None and entry[0] <= left:
+                        # First entry of a whole block: the interpreter
+                        # runs it (no sc inside, so the core cannot halt
+                        # or block).
+                        core.instret += pending
+                        machine.instret += pending
+                        pending = 0
+                        executed += simple(entry[0])
+                        pc = core.pc
+                        continue
+                count, run, head, j = entry
+                if count <= left:
+                    if run:
+                        pc = run(core, regs)
+                        pending += count
+                        executed += count
+                        continue
+                    if not count:
+                        core.pc = pc
+                        core.instret += pending
+                        machine.instret += pending
+                        pending = 0
+                        executed += simple(1)
+                        if core.halted or core.blocked:
+                            return executed
+                        self._sync()
+                        check_hooks = True
+                        step_pc = pc
+                        pc = core.pc
+                        if (pc == step_pc + 4 and pc not in blocks
+                                and j + 1 < self._full_length(head)):
+                            self._locate(head, j + 1)
+                        continue
+                    if run is None:
+                        run = self._compile_whole(pc, count)  # second entry
+                        pc = run(core, regs)
+                        pending += count
+                        executed += count
+                        continue
+                    n = j + count
+                else:
+                    n = j + left
+                rng = ranges_get(head) or self._range(head)
+                if rng:
+                    new_pc = rng(core, regs, j, n)
+                    pending += n - j
+                    executed += n - j
+                else:
+                    core.pc = pc
+                    core.instret += pending
+                    machine.instret += pending
+                    pending = 0
+                    executed += simple(n - j)
+                    new_pc = core.pc
+                if n < j + count and new_pc not in blocks:
+                    self._locate(head, n)  # where the next turn starts
+                pc = new_pc
+            core.pc = pc
+            core.instret += pending
+            machine.instret += pending
+            pending = 0
+            return executed
+        except BaseException:
+            core.instret += pending
+            machine.instret += pending
+            raise
+
+
 __all__ = [
     "TraceEngine",
+    "MultiCoreEngine",
     "FactoryCache",
     "factory_cache_stats",
     "MAX_BLOCK",

@@ -40,9 +40,11 @@ DEFAULT_BUDGET = 50_000_000
 # Execution engines (see cpu.py and blocks.py).  ``simple`` is the
 # per-instruction threaded interpreter, the reference semantics;
 # ``trace`` compiles basic blocks into specialized closures, chains hot
-# blocks into superblock traces across profiled-predictable branches,
-# and falls back to ``simple`` around every fault-injection hook, so
-# outcomes are bit-identical between the two.
+# blocks into superblock traces across profiled-predictable branches
+# (on one core; a multi-core machine runs blocks and the range closures
+# that split them at turn ends), and falls back to ``simple`` around
+# every fault-injection hook, so outcomes are bit-identical between the
+# two.
 ENGINE_SIMPLE = "simple"
 ENGINE_TRACE = "trace"
 ENGINES = (ENGINE_SIMPLE, ENGINE_TRACE)
@@ -51,17 +53,19 @@ ENGINE_AUTO = "auto"
 CAMPAIGN_ENGINES = (ENGINE_AUTO,) + ENGINES
 
 
-def resolve_engine(engine: str, num_cores: int) -> str:
-    """The concrete engine a campaign on *num_cores* cores runs *engine* as.
+def resolve_engine(engine: str) -> str:
+    """The concrete engine a campaign runs *engine* as.
 
-    ``auto`` is ``trace`` on a single-core machine and ``simple`` on a
-    multi-core one: :meth:`Machine.run` hands each core 64-instruction
-    turns there, so over a quarter of the instructions still run in the
-    interpreter at turn ends and compiled code saves nothing while its
-    set-up and memory costs remain.  Explicit engines pass through.
+    ``auto`` is ``trace`` on every machine.  On a multi-core one,
+    :meth:`Machine.run` hands each core 64-instruction turns, and
+    ``trace`` runs its block tier alone there: blocks that do not fit
+    the rest of a turn run from range closures, and no traces form
+    (:class:`~repro.machine.blocks.MultiCoreEngine`).  Explicit engines
+    pass through; ``auto`` stays a spelling that the CLI, the service
+    protocol and saved configs accept.
     """
     if engine == ENGINE_AUTO:
-        return ENGINE_TRACE if num_cores == 1 else ENGINE_SIMPLE
+        return ENGINE_TRACE
     return engine
 
 
@@ -129,9 +133,12 @@ class Machine:
 
         self.engine = engine
         if engine == ENGINE_TRACE:
-            from .blocks import TraceEngine
+            from .blocks import MultiCoreEngine, TraceEngine
 
-            self.block_engine = TraceEngine(self)
+            if num_cores == 1:
+                self.block_engine = TraceEngine(self)
+            else:
+                self.block_engine = MultiCoreEngine(self)
         else:
             self.block_engine = None
 

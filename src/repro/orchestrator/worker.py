@@ -129,8 +129,8 @@ def build_shard_task(
     the specs this shard references, with ``runs`` mapping each serial
     run index to positions in the compacted tuples.  Shared by the
     ``multiprocessing`` supervisor and the service broker so a shard is
-    built identically wherever it executes; *engine* is resolved against
-    *num_cores* here, so a task always names a concrete engine.
+    built identically wherever it executes; *engine* is resolved here,
+    so a task always names a concrete engine.
     """
     from .scheduler import pair_for_index
 
@@ -162,7 +162,7 @@ def build_shard_task(
         seed=seed,
         snapshot=snapshot,
         trace=trace,
-        engine=resolve_engine(engine, num_cores),
+        engine=resolve_engine(engine),
         prune=prune,
         memoize=memoize,
         memo_dir=memo_dir,

@@ -97,12 +97,12 @@ class CampaignConfig:
       per-instruction interpreter and ``"trace"`` the compiled engine,
       which runs basic blocks as closures and hot paths as superblock
       traces (:mod:`repro.machine.blocks`); it is faster and falls back
-      to the interpreter around every fault-injection hook.  The
-      default, ``"auto"``, runs single-core programs on ``"trace"`` and
-      multi-core ones on ``"simple"``
-      (:func:`repro.machine.machine.resolve_engine`); the runner resolves
-      it per program, so shard tasks, the planner and journals only see
-      a concrete engine;
+      to the interpreter around every fault-injection hook.  On a
+      multi-core machine it runs blocks alone, splitting them at turn
+      ends with range closures.  The default, ``"auto"``, runs every
+      program on ``"trace"`` (:func:`repro.machine.machine.resolve_engine`);
+      the runner resolves it, so shard tasks, the planner and journals
+      only see a concrete engine;
     * ``prune``/``memoize`` — the campaign planner
       (:mod:`repro.planning`): ``prune`` statically synthesizes records
       for provably dormant / invisible faults without booting a machine,
@@ -344,6 +344,16 @@ class CampaignResult:
         return result
 
 
+def _release_compiled(machine) -> None:
+    """Free what *machine*'s compiled engine holds once its run is over.
+
+    A finished machine is otherwise freed only by the cyclic GC, and its
+    blocks, ranges and traces with it (see ``TraceEngine.release``).
+    """
+    if machine.block_engine is not None:
+        machine.block_engine.release()
+
+
 def session_provenance(session: InjectionSession) -> str:
     """The provenance of a record built from *session*'s run."""
     return PROVENANCE_EXECUTED if session.cycle is None else PROVENANCE_EXTRAPOLATED
@@ -417,6 +427,7 @@ def execute_injection_run(
             session.arm(spec)
         with _trace.phase(_trace.PHASE_EXECUTE):
             result = session.run(budget, quantum=quantum)
+        _release_compiled(machine)
         with _trace.phase(_trace.PHASE_CLASSIFY):
             mode = classify(result, case.expected)
         record = RunRecord(
@@ -463,7 +474,7 @@ class CampaignRunner:
         self.min_budget = min_budget
         self.quantum = quantum
         # The default config's engine until run() applies a config's.
-        self.engine = resolve_engine(CampaignConfig.engine, num_cores)
+        self.engine = resolve_engine(CampaignConfig.engine)
         self.budgets: dict[str, int] = {}
         self.golden_instructions: dict[str, int] = {}
 
@@ -476,6 +487,7 @@ class CampaignRunner:
             inputs=dict(case.pokes), engine=self.engine,
         )
         result = machine.run(quantum=self.quantum)
+        _release_compiled(machine)
         if result.status != "exited":
             raise CampaignError(
                 f"{self.compiled.name}/{case.case_id}: fault-free run did not "
@@ -555,7 +567,7 @@ class CampaignRunner:
             )
         # Budgets are engine-independent (instret is bit-identical), so
         # calibrations from a previous engine remain valid.
-        self.engine = resolve_engine(config.engine, self.num_cores)
+        self.engine = resolve_engine(config.engine)
 
         if config.tier == TIER_SOURCE:
             # Source-tier faults are AST mutations: each one compiles to

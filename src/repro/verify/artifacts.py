@@ -145,6 +145,7 @@ def replay_artifact(path: str | Path):
         _golden_console,
         _observable_state,
         _opt_divergence_fields,
+        state_budget,
     )
     from .oracle import DifferentialOracle, Divergence, default_budget, run_state
     from ..lang import compile_source
@@ -204,7 +205,13 @@ def replay_artifact(path: str | Path):
             compiled, [case], matrix=[],
             state_engines=(artifact.config_a.engine, artifact.config_b.engine),
         )
-        divergence, _ = oracle.check_state(spec, case, budget=budget)
+        divergence, _ = oracle.check_state(
+            spec, case,
+            budget=state_budget(compiled, case, artifact.config_b,
+                                golden.instructions),
+            num_cores=artifact.config_b.cores,
+            quantum=artifact.config_b.quantum,
+        )
         return divergence
     oracle = DifferentialOracle(compiled, [case],
                                 matrix=[artifact.config_a, artifact.config_b])

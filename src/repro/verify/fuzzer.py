@@ -10,7 +10,9 @@ program the driver:
    bit-identical :class:`StateDigest` on every engine;
 3. realizes a batch of sampled fault descriptors
    (:mod:`repro.verify.sampler`) and runs the state-tier differential for
-   every (fault, input) pair;
+   every (fault, input) pair, then the golden runs and those pairs again
+   on a ``MULTICORE_CORES``-core machine whose ``MULTICORE_QUANTUM``-
+   instruction turns end inside blocks;
 4. runs the record-tier differential: the whole mini-campaign under every
    {engine} x {snapshot} x {jobs} configuration, compared record by
    record against the base configuration.
@@ -79,6 +81,11 @@ GOLDEN_BUDGET = 2_000_000
 #: JSONL journal of cleanly finished programs (``journal_dir``).
 FUZZ_JOURNAL = "fuzz_journal.jsonl"
 
+#: The state tier's multi-core leg: every case again on this many cores,
+#: with turns short enough to end inside most blocks.
+MULTICORE_CORES = 2
+MULTICORE_QUANTUM = 7
+
 
 @dataclass
 class FuzzConfig:
@@ -119,9 +126,13 @@ class FuzzReport:
     #: that may alias one; a diagnostic of the programs this invocation
     #: ran (not journaled, so journal bytes stay as they were)
     aliased_traces: int = 0
-    #: state-tier blocks and traces a machine adopted from the ones an
-    #: earlier machine of the same program image compiled (not journaled)
+    #: state-tier blocks, ranges and traces a machine adopted from the
+    #: ones an earlier machine of the same program image compiled (not
+    #: journaled)
     adopted: int = 0
+    #: state-tier runs on a multi-core machine (not in ``total_runs``,
+    #: and not journaled)
+    multicore: int = 0
     skipped_faults: int = 0
     elapsed: float = 0.0
     stopped_early: bool = False
@@ -138,7 +149,7 @@ class FuzzReport:
             f"state-cases={self.state_cases} record-campaigns={self.record_campaigns} "
             f"runs={self.total_runs} extrapolated={self.extrapolated_runs} "
             f"aliased={self.aliased_traces} adopted={self.adopted} "
-            f"elapsed={self.elapsed:.1f}s"
+            f"multicore={self.multicore} elapsed={self.elapsed:.1f}s"
             + (" (stopped early: budget)" if self.stopped_early else ""),
         ]
         if self.resumed_programs:
@@ -463,6 +474,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
 
     # -- state tier: every realized fault on every input ------------
     faults = []
+    checked = []
     if not program_diverged:
         rng = random.Random(f"repro.verify.faults:{config.seed}:{index}")
         descriptors = sample_descriptors(rng, config.faults_per_program)
@@ -475,6 +487,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
                     break
                 divergence, _ = oracle.check_state(spec, case, budget=budget)
                 report.state_cases += 1
+                checked.append((spec, descriptor, case))
                 if divergence is not None:
                     _handle_divergence(config, report, program, descriptor,
                                        case, cases, divergence)
@@ -482,6 +495,11 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
                     break
             if program_diverged:
                 break
+
+    # -- state tier on a multi-core machine --------------------------
+    if not program_diverged and not clock.expired:
+        program_diverged = _check_multicore(config, report, clock, program,
+                                            oracle, cases, checked)
 
     # -- record tier: the full configuration matrix -----------------
     if config.record_tier and faults and not program_diverged \
@@ -542,6 +560,37 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
     report.extrapolated_runs += oracle.extrapolated
     report.aliased_traces += oracle.aliased
     report.adopted += oracle.adopted
+    report.multicore += oracle.multicore
+
+
+def _check_multicore(config: FuzzConfig, report: FuzzReport, clock: _Clock,
+                     program: GenProgram, oracle: DifferentialOracle,
+                     cases: list[InputCase], checked: list) -> bool:
+    """The golden runs and the *checked* (fault, case) pairs again, on a
+    ``MULTICORE_CORES``-core machine whose ``MULTICORE_QUANTUM``-
+    instruction turns end inside blocks, with the budget derived from
+    the golden runs there; ``True`` on a divergence."""
+    shape = {"num_cores": MULTICORE_CORES, "quantum": MULTICORE_QUANTUM}
+    golden_instructions = 0
+    for case in cases:
+        divergence, digests = oracle.check_state(None, case,
+                                                 budget=GOLDEN_BUDGET, **shape)
+        golden_instructions = max(golden_instructions,
+                                  digests[ENGINE_SIMPLE].instructions)
+        if divergence is not None:
+            _handle_divergence(config, report, program, None, case, cases,
+                               divergence)
+            return True
+    budget = default_budget(golden_instructions)
+    for spec, descriptor, case in checked:
+        if clock.expired:
+            break
+        divergence, _ = oracle.check_state(spec, case, budget=budget, **shape)
+        if divergence is not None:
+            _handle_divergence(config, report, program, descriptor, case,
+                               cases, divergence)
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +796,8 @@ def make_predicate(case: InputCase, divergence: Divergence):
                            budget=GOLDEN_BUDGET, engine=ENGINE_SIMPLE)
         if golden.status != "exited" or golden.exit_code != 0:
             return False
-        budget = default_budget(golden.instructions)
+        budget = state_budget(compiled, case, divergence.config_b,
+                              golden.instructions)
         if divergence.tier == "opt":
             return _opt_still_fails(program, compiled, case, divergence,
                                     budget)
@@ -804,6 +854,20 @@ def _opt_still_fails(program: GenProgram, compiled, case: InputCase,
     return bool(_opt_divergence_fields(base, other))
 
 
+def state_budget(compiled, case: InputCase, config: MatrixConfig,
+                 golden_instructions: int) -> int:
+    """The hang budget of *case* on *config*'s machine: derived from the
+    single-core golden run (*golden_instructions*), or from a golden run
+    on the multi-core machine of a multi-core case."""
+    if config.cores != 1:
+        golden_instructions = run_state(
+            compiled.executable, None, case, budget=GOLDEN_BUDGET,
+            engine=ENGINE_SIMPLE, num_cores=config.cores,
+            quantum=config.quantum,
+        ).instructions
+    return default_budget(golden_instructions)
+
+
 def check_configs(compiled, spec, case: InputCase, config_a: MatrixConfig,
                   config_b: MatrixConfig, *, budget: int, tier: str) -> bool:
     """True when the two configurations disagree on this single case."""
@@ -812,7 +876,9 @@ def check_configs(compiled, spec, case: InputCase, config_a: MatrixConfig,
             compiled, [case], matrix=[],
             state_engines=(config_a.engine, config_b.engine),
         )
-        divergence, _ = oracle.check_state(spec, case, budget=budget)
+        divergence, _ = oracle.check_state(spec, case, budget=budget,
+                                           num_cores=config_b.cores,
+                                           quantum=config_b.quantum)
         return divergence is not None
     oracle = DifferentialOracle(compiled, [case], matrix=[config_a, config_b])
     try:

@@ -8,7 +8,8 @@ Two comparison tiers, both bit-exact:
   retired instruction count, console bytes, every core's registers and a
   SHA-256 over the entire physical memory image and the heap allocator
   state.  Anything the engines disagree on — a single stale register, one
-  byte of stack — flips the digest.
+  byte of stack — flips the digest.  A case may also run on a multi-core
+  machine with a short quantum, whose turns end inside blocks.
 
 * **Record tier** — per generated program the oracle runs the whole
   (faults x inputs) mini-campaign once per configuration in the
@@ -61,7 +62,9 @@ class MatrixConfig:
     ``opt`` names the compiler optimization level of the binary under
     test; it only differs from 0 in the fuzzer's O0-vs-O1 compiler axis
     (``FuzzConfig(opt_axis=(0, 1))``), where the two sides of a
-    divergence ran *different binaries* of the same program.
+    divergence ran *different binaries* of the same program.  ``cores``
+    and ``quantum`` shape the machine of a state-tier case; they only
+    differ from 1 and 64 in the fuzzer's multi-core leg.
     """
 
     engine: str = ENGINE_SIMPLE
@@ -69,6 +72,8 @@ class MatrixConfig:
     jobs: int = 1
     planner: str = PLANNER_OFF
     opt: int = 0
+    cores: int = 1
+    quantum: int = 64
 
     def label(self) -> str:
         label = (
@@ -77,16 +82,21 @@ class MatrixConfig:
         )
         if self.opt:
             label += f"/opt={self.opt}"
+        if self.cores != 1:
+            label += f"/cores={self.cores}/quantum={self.quantum}"
         return label
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "engine": self.engine,
             "snapshot": self.snapshot,
             "jobs": self.jobs,
             "planner": self.planner,
             "opt": self.opt,
         }
+        if self.cores != 1:  # single-core payloads keep their bytes
+            payload.update(cores=self.cores, quantum=self.quantum)
+        return payload
 
 
 def full_matrix(jobs_axis: tuple[int, ...] = DEFAULT_JOBS_AXIS) -> list[MatrixConfig]:
@@ -113,21 +123,24 @@ from ..planning.digest import StateDigest, machine_digest  # noqa: E402
 
 
 def run_state(executable, spec: MachineFault | None, case: InputCase, *,
-              budget: int, engine: str, quantum: int = 64) -> StateDigest:
+              budget: int, engine: str, quantum: int = 64,
+              num_cores: int = 1) -> StateDigest:
     """One fresh-boot injection run with direct machine access."""
     return _run_state(executable, spec, case, budget=budget, engine=engine,
-                      quantum=quantum)[0]
+                      quantum=quantum, num_cores=num_cores)[0]
 
 
 def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
-               budget: int, engine: str,
-               quantum: int = 64) -> tuple[StateDigest, bool, int, int]:
+               budget: int, engine: str, quantum: int = 64,
+               num_cores: int = 1) -> tuple[StateDigest, bool, int, int]:
     """:func:`run_state`, plus whether the run ended a hang at its cycle,
     how many of its traces forget cached frame slots at a store that may
-    alias one (``TraceEngine.traces_aliased``), and how many blocks and
-    traces it adopted from earlier machines of the image
-    (``TraceEngine.blocks_adopted`` + ``traces_adopted``)."""
-    machine = boot(executable, inputs=dict(case.pokes), engine=engine)
+    alias one (``TraceEngine.traces_aliased``), and how many blocks,
+    ranges and traces it adopted from earlier machines of the image
+    (``TraceEngine.blocks_adopted`` + ``ranges_adopted`` +
+    ``traces_adopted``)."""
+    machine = boot(executable, num_cores=num_cores, inputs=dict(case.pokes),
+                   engine=engine)
     session = InjectionSession(machine)
     fault_id = spec.fault_id if spec is not None else "none"
     if spec is not None:
@@ -137,7 +150,8 @@ def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
     compiled = machine.block_engine
     if compiled is None:
         return digest, session.cycle is not None, 0, 0
-    adopted = compiled.blocks_adopted + compiled.traces_adopted
+    adopted = (compiled.blocks_adopted + compiled.ranges_adopted
+               + compiled.traces_adopted)
     return digest, session.cycle is not None, compiled.traces_aliased, adopted
 
 
@@ -219,28 +233,38 @@ class DifferentialOracle:
         self.extrapolated = 0
         #: state-tier traces that forget cached frame slots at a store
         self.aliased = 0
-        #: state-tier blocks and traces adopted from an earlier machine
+        #: state-tier blocks, ranges and traces adopted from an earlier
+        #: machine
         self.adopted = 0
+        #: state-tier runs on a multi-core machine (not in ``runs``, so
+        #: the fuzzer's journal keeps its bytes)
+        self.multicore = 0
 
     # -- state tier ------------------------------------------------------
 
     def check_state(self, spec: MachineFault | None, case: InputCase, *,
-                    budget: int) -> tuple[Divergence | None, dict[str, StateDigest]]:
+                    budget: int, num_cores: int = 1, quantum: int = 64,
+                    ) -> tuple[Divergence | None, dict[str, StateDigest]]:
         """Cross-engine full-state comparison for one (fault, case).
 
         ``spec=None`` compares the fault-free run — the pure engine
-        conformance case.
+        conformance case.  *num_cores* and *quantum* shape the machine.
         """
         fault_id = spec.fault_id if spec is not None else "golden"
         digests: dict[str, StateDigest] = {}
         for engine in self.state_engines:
             digests[engine], extrapolated, aliased, adopted = _run_state(
-                self.compiled.executable, spec, case, budget=budget, engine=engine
+                self.compiled.executable, spec, case, budget=budget,
+                engine=engine, quantum=quantum, num_cores=num_cores,
             )
-            self.runs += 1
+            if num_cores == 1:
+                self.runs += 1
+            else:
+                self.multicore += 1
             self.extrapolated += extrapolated
             self.aliased += aliased
             self.adopted += adopted
+        machine = {"cores": num_cores, "quantum": quantum}
         base_engine = self.state_engines[0]
         base = digests[base_engine]
         for engine in self.state_engines[1:]:
@@ -252,8 +276,8 @@ class DifferentialOracle:
                         program=self.compiled.name,
                         fault_id=fault_id,
                         case_id=case.case_id,
-                        config_a=MatrixConfig(engine=base_engine),
-                        config_b=MatrixConfig(engine=engine),
+                        config_a=MatrixConfig(engine=base_engine, **machine),
+                        config_b=MatrixConfig(engine=engine, **machine),
                         detail_a=base.to_dict(),
                         detail_b=digests[engine].to_dict(),
                         fields=fields,

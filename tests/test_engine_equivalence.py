@@ -40,13 +40,13 @@ def final_state(machine, result):
 
 
 def run_engines(compiled, *, inputs=None, num_cores=1, budget=2_000_000,
-                pause_at_instret=None):
+                pause_at_instret=None, quantum=64):
     """Final state per engine, in ``ENGINES`` order (simple first)."""
     states = []
     for engine in ENGINES:
         machine = boot(compiled.executable, num_cores=num_cores,
                        inputs=inputs, engine=engine)
-        result = machine.run(max_instructions=budget,
+        result = machine.run(max_instructions=budget, quantum=quantum,
                              pause_at_instret=pause_at_instret)
         states.append(final_state(machine, result))
     return states
@@ -59,14 +59,22 @@ def assert_engines_identical(states):
 
 
 def compiled_block_covers(machine, pc):
-    """Whether *pc* lies in a block *machine*'s engine has compiled.
+    """Whether *pc* lies in a block or range closure *machine*'s engine
+    has compiled.
 
-    A block is compiled on its second entry and runs compiled from then
-    on, so a trap pc covered by one was raised from compiled code.
+    A block is compiled on its second entry, and on a multi-core machine
+    a block's range closure on its second use; each runs compiled from
+    then on, so a trap pc covered by one was raised from compiled code.
+    An entry's first two fields are its instruction count and its block
+    closure (``None``, or ``False`` on a multi-core machine, if none).
     """
+    engine = machine.block_engine
     return any(
-        run is not None and entry <= pc < entry + 4 * count
-        for entry, (count, run) in machine.block_engine.blocks.items()
+        entry[1] and start <= pc < start + 4 * entry[0]
+        for start, entry in engine.blocks.items()
+    ) or any(
+        run is not None and head <= pc < head + 4 * engine._full_length(head)
+        for head, run in engine.ranges.items()
     )
 
 
@@ -222,7 +230,11 @@ class TestBoundaryEquivalence:
         assert states[0]["machine_instret"] == pause
         assert_engines_identical(states)
 
-    def test_multicore_round_robin_identical(self):
+    @pytest.mark.parametrize("num_cores", [2, 4])
+    @pytest.mark.parametrize("quantum", [1, 2, 3, 5, 7, 64])
+    def test_multicore_round_robin_identical(self, num_cores, quantum):
+        # Every quantum but 64 ends turns inside the loop's block, whose
+        # parts then run from its range closure.
         source = """
         void main() {
             int i;
@@ -236,9 +248,148 @@ class TestBoundaryEquivalence:
         }
         """
         compiled = compile_source(source, "multicore")
-        states = run_engines(compiled, num_cores=2)
+        states = run_engines(compiled, num_cores=num_cores, quantum=quantum)
         assert states[0]["status"] == "exited"
         assert_engines_identical(states)
+
+
+# `start` runs once per core and falls into `loop`, a six-instruction
+# block entered from its own back edge.
+CORE_LOOP = """
+start:
+    addi r3, r0, 0
+    addi r4, r0, 40
+    addi r6, r0, 100
+loop:
+    addi r5, r3, 7
+    addi r6, r5, 1
+    add r7, r6, r3
+    addi r3, r3, 1
+    cmp r3, r4
+    bc lt, loop
+    sc 0
+"""
+
+
+def _core_loop(source=CORE_LOOP):
+    from repro.isa import assemble_text
+    from repro.machine import Executable
+
+    program = assemble_text(source, base=0x1000)
+    return Executable(code=program.code, entry=0x1000,
+                      symbols=program.symbols), program.symbols
+
+
+@pytest.mark.usefixtures("fresh_factory_cache")
+class TestFourCoreRangeClosures:
+    """On four cores a 7-instruction quantum ends turns inside `loop`,
+    so its parts run from its range closure: under a fetch watch inside
+    the block, across a rewrite of the block, and up to a trap."""
+
+    def test_a_fetch_watch_inside_a_block(self):
+        from repro.swifi import (
+            Action, InjectionSession, MachineFault, OpcodeFetch,
+            RegisterTarget, SetValue, WhenPolicy,
+        )
+
+        executable, symbols = _core_loop()
+        loop = symbols["loop"]
+        fault = MachineFault(
+            "interior", OpcodeFetch(loop + 8),
+            (Action(RegisterTarget(3), SetValue(30)),),
+            when=WhenPolicy.nth(25),
+        )
+        states = []
+        for engine in ENGINES:
+            machine = boot(executable, num_cores=4, engine=engine)
+            session = InjectionSession(machine)
+            session.arm(fault)
+            result = session.run(100_000, quantum=7)
+            states.append(final_state(machine, result))
+            assert session.injection_count("interior") == 1
+        assert states[0]["status"] == "exited"
+        assert_engines_identical(states)
+        compiled = machine.block_engine
+        assert compiled.ranges_compiled + compiled.ranges_adopted > 0
+        # The pcs inside `loop` (the one after the watch among them) ran
+        # as instructions of an enclosing block, from its range closure,
+        # never as blocks of their own.
+        inside = {pc: entry for pc, entry in compiled.blocks.items()
+                  if loop < pc < loop + 24}
+        assert loop + 12 in inside
+        assert all(entry[2] < pc for pc, entry in inside.items())
+
+    def test_a_code_word_rewrite_of_a_block_whose_range_closure_exists(self):
+        from repro.isa import ins
+        from repro.swifi import (
+            Action, CodeWord, InjectionSession, MachineFault, OpcodeFetch,
+            SetValue, WhenPolicy,
+        )
+
+        executable, symbols = _core_loop()
+        loop = symbols["loop"]
+        # `addi r5, r3, 7` becomes `addi r5, r3, 9`: a closure compiled
+        # from the old word would still add 7.
+        fault = MachineFault(
+            "rewrite", OpcodeFetch(loop + 12),
+            (Action(CodeWord(loop), SetValue(ins.addi(5, 3, 9).encode())),),
+            when=WhenPolicy.nth(20),
+        )
+        states = []
+        for engine in ENGINES:
+            machine = boot(executable, num_cores=4, engine=engine)
+            ranges_at_write = []
+            write = machine.debug_write_code
+
+            def recording(address, word, machine=machine, write=write):
+                if machine.block_engine is not None:
+                    ranges_at_write.append(
+                        callable(machine.block_engine.ranges.get(loop)))
+                write(address, word)
+
+            machine.debug_write_code = recording
+            session = InjectionSession(machine)
+            session.arm(fault)
+            result = session.run(100_000, quantum=7)
+            states.append(final_state(machine, result))
+            assert session.injection_count("rewrite") == 1
+        assert states[0]["status"] == "exited"
+        assert_engines_identical(states)
+        assert ranges_at_write == [True]
+
+    @pytest.mark.parametrize("quantum", [5, 7, 64])
+    def test_a_trap_at_every_loop_body_offset(self, quantum):
+        # Core 0 reaches the trap iteration first, from a block or range
+        # closure compiled on an earlier pass.
+        for offset in range(6):
+            body = ["addi r7, r3, 7", "xor r8, r7, r3", "ori r9, r8, 1",
+                    "add r7, r9, r3", "addi r8, r7, -1"]
+            body.insert(offset, "divw r10, r6, r5")
+            source = "\n".join([
+                "addi r3, r0, 0",
+                "addi r4, r0, 30",  # the trap iteration
+                "addi r6, r0, 100",
+                "loop:",
+                "sub r5, r4, r3",
+                *body,
+                "addi r3, r3, 1",
+                "cmpi r3, 60",
+                "bc lt, loop",
+                "sc 0",
+            ])
+            executable, _ = _core_loop(source)
+            states = []
+            for engine in ENGINES:
+                machine = boot(executable, num_cores=4, engine=engine)
+                result = machine.run(max_instructions=100_000,
+                                     quantum=quantum)
+                state = final_state(machine, result)
+                state["trap_at"] = (result.trap.kind, result.trap.pc,
+                                    result.trap.core_id)
+                states.append(state)
+            assert states[0]["trap_at"][:1] == ("arithmetic-fault",), offset
+            assert_engines_identical(states)
+            assert compiled_block_covers(machine, states[1]["trap_at"][1])
 
 
 @pytest.mark.usefixtures("fresh_factory_cache")
@@ -557,7 +708,8 @@ def _probe_states(op, address, passes, num_cores):
                 # The trapping access ran compiled: from the loop's
                 # block, or from its trace.
                 assert compiled_block_covers(machine, trap.pc), engine
-                if passes > 3 and engine == ENGINE_TRACE:
+                # Traces form on one core only.
+                if passes > 3 and num_cores == 1:
                     loop = executable.symbols["again"]
                     assert machine.block_engine.traces[loop][1] is not None
         states.append(state)
@@ -808,16 +960,24 @@ class TestFrameGuardEdges:
         assert states[0]["status"] == "exited"
         assert_engines_identical(states)
         engine = machine.block_engine
-        assert engine.trace_bailouts == 0
-        assert engine.traces[inner][1] is not None
+        # Traces form on one core only: a multi-core machine runs the
+        # same frames from its blocks and range closures.
+        if num_cores == 1:
+            assert engine.trace_bailouts == 0
+            assert engine.traces[inner][1] is not None
+        else:
+            assert not engine.traces
 
         states, machine, inner = _frame_states(inside, outside, aliased,
                                                num_cores)
         assert states[0]["trap_at"][0] == "memory-fault"
         assert_engines_identical(states)
         engine = machine.block_engine
-        assert engine.trace_bailouts == 1
-        assert engine.traces[inner][1] is None
+        if num_cores == 1:
+            assert engine.trace_bailouts == 1
+            assert engine.traces[inner][1] is None
+        else:
+            assert not engine.traces
 
     @pytest.mark.parametrize("aliased", [False, True])
     def test_a_heap_frame_passes_the_guard(self, aliased):

@@ -7,7 +7,9 @@
 * compiler: random integer expression trees evaluate exactly as a
   C-semantics Python evaluator says they should;
 * heap: random malloc/free sequences never hand out overlapping blocks;
-* campaign bookkeeping: failure-mode tallies always partition the runs.
+* campaign bookkeeping: failure-mode tallies always partition the runs;
+* range closures: any range of a generated block runs exactly as the
+  interpreter runs the same instructions.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -290,3 +292,155 @@ class TestWhenPolicyProperties:
     @given(st.integers(1, 1000))
     def test_every_always_fires(self, activation):
         assert WhenPolicy.every().fires(activation)
+
+
+# ---------------------------------------------------------------------------
+# range closures (the compiled engine's multi-core block tier)
+# ---------------------------------------------------------------------------
+
+#: Registers the generated blocks use: r0 among them, so its writes and
+#: reads (which a range closure must never fold) are frequent.
+_RANGE_REGS = st.sampled_from([0, 3, 4, 5, 6])
+
+_RANGE_ALU = [
+    ("addi", "D"), ("addis", "D"), ("mulli", "D"), ("andi", "DU"),
+    ("ori", "DU"), ("xori", "DU"), ("cmpi", "CMPI"), ("cmpli", "CMPLI"),
+    ("slwi", "SH"), ("srwi", "SH"), ("srawi", "SH"), ("mflr", "R1"),
+    ("mtlr", "R1"), ("add", "XO"), ("sub", "XO"), ("mul", "XO"),
+    ("divw", "XO"), ("modw", "XO"), ("and", "XO"), ("or", "XO"),
+    ("xor", "XO"), ("nor", "XO"), ("slw", "XO"), ("srw", "XO"),
+    ("sraw", "XO"), ("cmp", "XO"), ("neg", "XO1"), ("not", "XO1"),
+]
+
+
+def _range_machine_edges() -> list[int]:
+    """Both edges of every segment of the 2-core probe machine."""
+    machine = boot(_range_executable([ins.sc(0).encode()]), num_cores=2)
+    return sorted({edge for segment in machine.memory.segments
+                   for edge in (segment.start, segment.end)})
+
+
+def _range_executable(words):
+    code = b"".join(word.to_bytes(4, "big") for word in words)
+    code += ins.sc(0).encode().to_bytes(4, "big")  # the block's scan stops
+    return Executable(code=code, entry=0x1000, data=bytes(range(1, 21)))
+
+
+@st.composite
+def _range_items(draw, edges):
+    """One straight-line step: an ALU word, or a load or store at a
+    segment edge (the base is set right before the access)."""
+    if draw(st.integers(0, 3)) == 0:
+        op = draw(st.sampled_from(["lwz", "stw", "lbz", "stb"]))
+        base = draw(st.sampled_from([3, 4, 5, 6]))
+        address = (draw(st.sampled_from(edges))
+                   + draw(st.integers(-4, 3))) & 0xFFFFFFFF
+        high = address >> 16
+        return [
+            ins.addis(base, 0, high - 0x10000 if high >= 0x8000 else high),
+            ins.ori(base, base, address & 0xFFFF),
+            Instruction(op, rd=draw(_RANGE_REGS), ra=base,
+                        imm=draw(st.integers(-2, 2))),
+        ]
+    mnemonic, form = draw(st.sampled_from(_RANGE_ALU))
+    rd, ra, rb = draw(_RANGE_REGS), draw(_RANGE_REGS), draw(_RANGE_REGS)
+    if form in ("D", "CMPI"):
+        return [Instruction(mnemonic, rd=rd, ra=ra, imm=draw(simm16))]
+    if form in ("DU", "CMPLI"):
+        return [Instruction(mnemonic, rd=rd, ra=ra, imm=draw(uimm16))]
+    if form == "SH":
+        return [Instruction(mnemonic, rd=rd, ra=ra, imm=draw(st.integers(0, 31)))]
+    if form == "R1":
+        return [Instruction(mnemonic, rd=rd)]
+    if form == "XO":
+        return [Instruction(mnemonic, rd=rd, ra=ra, rb=rb)]
+    return [Instruction(mnemonic, rd=rd, ra=ra)]
+
+
+_RANGE_EDGES = _range_machine_edges()
+
+
+@st.composite
+def range_blocks(draw):
+    """A generated block (its words) and the state one core enters it with."""
+    edges = _RANGE_EDGES
+    body = [word for item in draw(st.lists(_range_items(edges), min_size=1,
+                                           max_size=4)) for word in item]
+    terminator = draw(st.sampled_from(["", "b", "bl", "blr", "bc"]))
+    if terminator == "bc":
+        cond = draw(st.sampled_from(sorted(COND_NAMES)))
+        body.append(Instruction("bc", rd=cond, imm=draw(st.integers(-8, 8))))
+    elif terminator in ("b", "bl"):
+        body.append(Instruction(terminator, imm=draw(st.integers(-8, 8))))
+    elif terminator == "blr":
+        body.append(Instruction("blr"))
+    values = st.one_of(st.sampled_from([0, 1, 2, 7, 0xFFFFFFFF, 0x80000000]),
+                       st.sampled_from(edges), words)
+    regs = draw(st.lists(values, min_size=32, max_size=32))
+    return ([word.encode() for word in body], regs,
+            draw(st.sampled_from([-1, 0, 1])), draw(words),
+            draw(st.integers(0, 1)))
+
+
+def _range_state(machine, core, trap):
+    """What a range may change: the core, the counters, the trap, and
+    every writable segment."""
+    writable = [machine.memory.data[s.start:s.end]
+                for s in machine.memory.segments if s.writable]
+    return {
+        "regs": list(core.regs), "cr": core.cr, "lr": core.lr, "pc": core.pc,
+        "instret": (core.instret, machine.instret),
+        "trap": None if trap is None else (trap.kind, trap.pc, trap.core_id,
+                                           trap.address),
+        "memory": writable,
+    }
+
+
+class TestRangeClosureProperties:
+    """``run(core, regs, j, n)`` of a block's range closure against the
+    interpreter running ``n - j`` instructions from ``h + 4j``, for every
+    ``0 <= j < n <= count``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_every_range_matches_the_interpreter(self, data):
+        from repro.machine import blocks
+        from repro.machine.traps import Trap
+
+        words_, regs, cr, lr, core_id = data.draw(range_blocks())
+        executable = _range_executable(words_)
+        count = len(words_)
+        head = 0x1000
+        factory = blocks._range_factory_for(tuple(words_))
+
+        def fresh(engine):
+            machine = boot(executable, num_cores=2, engine=engine)
+            core = machine.cores[core_id]
+            core.regs[:] = regs
+            core.cr, core.lr = cr, lr
+            return machine, core
+
+        for j in range(count):
+            for n in range(j + 1, count + 1):
+                machine, core = fresh("simple")
+                assert blocks._scan(machine.decode_cache, 0) == count
+                core.pc = head + 4 * j
+                trap = None
+                try:
+                    core._run_quantum_simple(n - j)
+                except Trap as error:
+                    trap = error
+                expected = _range_state(machine, core, trap)
+
+                machine, core = fresh("trace")
+                run = machine.block_engine._instantiate(factory, head)
+                core.pc = head + 4 * j
+                trap = None
+                try:
+                    core.pc = run(core, core.regs, j, n)
+                    # What the dispatcher adds for a range that returns.
+                    core.instret += n - j
+                    machine.instret += n - j
+                except Trap as error:
+                    trap = error
+                assert _range_state(machine, core, trap) == expected, (j, n)

@@ -490,6 +490,53 @@ class TestHangExtrapolationMutation:
         assert trace == simple
 
 
+@contextlib.contextmanager
+def broken_range_stop():
+    """Sabotage the range closures: each runs one instruction past its
+    requested end (and a whole-block range stops short of its
+    terminator)."""
+    original = blocks._generate_range_source
+
+    def sabotaged(decoded):
+        return original(decoded).replace("if n == ", "if n - 1 == ")
+
+    blocks._generate_range_source = sabotaged
+    blocks._FACTORY_CACHE.clear()
+    try:
+        yield
+    finally:
+        blocks._generate_range_source = original
+        blocks._FACTORY_CACHE.clear()
+
+
+class TestRangeClosureMutation:
+    """Range closures run only on multi-core machines, so only the state
+    tier's multi-core leg can catch a sabotaged one; its divergence
+    names the machine, and shrinking and replay run on that machine."""
+
+    def test_fuzzer_catches_a_range_running_past_its_end(self, tmp_path):
+        config = FuzzConfig(seed=0, cases=60, inputs_per_program=1,
+                            faults_per_program=2, record_tier=False,
+                            max_divergences=1, artifact_dir=tmp_path)
+        with broken_range_stop():
+            report = run_fuzz(config)
+            assert not report.ok(), "sabotaged range closure went undetected"
+            divergence = report.divergences[0]
+            assert divergence.tier == "state"
+            assert (divergence.config_b.cores, divergence.config_b.quantum) \
+                == (2, 7)
+            shrink = report.shrinks[0]
+            assert shrink.statements_after < shrink.statements_before
+            json_path = report.artifacts[0]
+            assert replay_artifact(json_path) is not None
+        assert replay_artifact(json_path) is None
+        # The same campaign agrees once the sabotage is reverted.
+        report = run_fuzz(FuzzConfig(seed=0, cases=report.state_cases,
+                                     inputs_per_program=1,
+                                     faults_per_program=2, record_tier=False))
+        assert report.ok() and report.multicore > 0
+
+
 class TestFuzzer:
     def test_small_clean_campaign(self):
         report = run_fuzz(FuzzConfig(seed=3, cases=12, inputs_per_program=1,
