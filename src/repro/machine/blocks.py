@@ -26,6 +26,13 @@ with range closures, on a multi-core one.
   ``Struct('>I')`` method (or one ``mem_data`` index for bytes); every
   other access (heap, code, misaligned, unmapped, a write to code) calls
   the machine's one slow path, which raises the interpreter's trap;
+* a closure folds what it proves (see :class:`_Emitter`): a register
+  it sets from literals is read as the literal from then on, an access
+  at such a known address decides its range test once per closure
+  instantiation, ``divw``/``modw`` by a known non-zero divisor need no
+  zero test, and a compare right before the conditional branch that
+  reads it branches on its operands, setting ``cr`` on each path.
+  Exits write back only the registers the closure wrote;
 * the dispatch loop executes block-at-a-time from a cache keyed by the
   block's entry index, falling back to the per-instruction loop whenever
   a block would overrun the quantum / ``pause_at_instret`` budget, when
@@ -57,16 +64,22 @@ across predictable branches into **superblock traces** (the profiled
 path, guarded by cheap side-exits that fall back to block dispatch),
 batches self-looping traces into a budget-bounded inner loop, and keeps
 each trace's **frame slots** — the words at constant offsets from one
-base register the trace never writes — in Python locals.  One guard per
-trace entry proves the base aligned and every slot inside one mapped
-range; after it, a slot the trace has already loaded or stored is a
+base register — in Python locals.  A looping trace never writes its
+base; a non-looping one may write it before its first frame access or
+after its last, as a function's prologue (``mr r30, r1``) and epilogue
+(``mr r30, r13``) do.  One frame guard per trace run proves the base
+aligned and every slot inside one mapped range: at entry, or, past a
+prologue that writes the base, at the first frame access (a *late*
+guard).  After it, a slot the trace has already loaded or stored is a
 copy of its local, and a first load or a store needs no range test.
 Stores write through to memory (a looping trace whose only accesses are
 frame words defers them to its exits), and any other store forgets the
 cached slots, since it may alias one.  A trace closure returns
-``(next_pc, executed)``; ``executed == 0`` signals a failed frame guard
-and nothing has run.  A block that never becomes part of a trace still
-runs compiled.
+``(next_pc, executed)``; ``executed <= 0`` signals a failed frame
+guard: at entry nothing has run, and a late guard side-exits with the
+``-executed`` instructions before it retired.  Either way block dispatch
+owns the pc from then on.  A block that never becomes part of a trace
+still runs compiled.
 
 Compiled closures are invalidated by a generation check at every
 ``run_quantum`` entry and after every fetch-watch step: the machine's
@@ -253,13 +266,23 @@ class _Emitter:
     """Generates the body of one block closure from decoded words.
 
     Registers used anywhere in the block are hoisted into Python locals
-    (``r5 = regs[5]``) and written back in the epilogue — and, because
-    the block is straight-line, the locals hold the exact architectural
-    state of the completed-instruction prefix at every point, which is
-    what the trap handler writes back.  ``r0`` is modelled faithfully:
-    it is a readable register until the first register-writing
-    instruction zeroes it (matching the interpreter's ``regs[0] = 0``
-    after every write), after which reads fold to the literal ``0``.
+    (``r5 = regs[5]``), and those it writes are written back in the
+    epilogue — and, because the block is straight-line, the locals hold
+    the exact architectural state of the completed-instruction prefix at
+    every point, which is what the trap handler writes back.
+
+    **Known values.**  A register the closure sets from literals alone
+    (``addi r15, r0, 8``, ``addis`` then ``ori``, any operation on known
+    values) is still assigned to its local, but every later read of it
+    is the literal.  ``r0`` is modelled faithfully: it is a readable
+    register until the first register-writing instruction zeroes it
+    (matching the interpreter's ``regs[0] = 0`` after every write), after
+    which it is the known value 0.  So a load or store at a known address
+    decides its range test once, when the factory binds the machine's
+    ranges (``_ok<k>``); ``divw``/``modw`` by a known non-zero divisor
+    need no zero test and no ``abs``; and a compare followed directly by
+    the conditional branch that reads it (:meth:`defer_compare`) branches
+    on its operands and sets ``cr`` on each path.
 
     Loads and stores test the effective address against the two ranges
     the factory binds (``lo0``..``hi1``) and otherwise call ``slow``;
@@ -267,13 +290,22 @@ class _Emitter:
     paths that can raise: the slow path and division by zero.
     """
 
+    #: Whether values set from literals are folded.  Range closures,
+    #: entered mid-block, fold nothing.
+    fold = True
+
     def __init__(self) -> None:
         self.prelude: list[str] = []  # factory-level constants
         self.lines: list[str] = []    # run() body
-        self.used: dict[int, bool] = {}
+        self.used: dict[int, bool] = {}     # hoisted
+        self.written: dict[int, bool] = {}  # written back
+        self.consts: dict[int, int] = {}    # register -> known value
+        #: ``(signed, a, b)`` of a compare whose ``cr`` the next branch
+        #: sets (operands are locals, or ints when known)
+        self.cmp: tuple | None = None
+        self._const_line = -1  # index of the last line if it set a known value
         self.uses_cr = False
         self.uses_lr = False
-        self.r0_zero = False
         self.can_trap = False
 
     def pc_offset(self, k: int) -> int:
@@ -285,102 +317,117 @@ class _Emitter:
     # -- register plumbing ------------------------------------------------
 
     def read(self, reg: int) -> str:
-        if reg == 0 and self.r0_zero:
-            return "0"
+        value = self.consts.get(reg)
+        if value is not None:
+            return _lit(value)
         self.used[reg] = True
         return f"r{reg}"
 
-    def write(self, rd: int, expr: str) -> None:
-        self.used[rd] = True
-        self.lines.append(f"r{rd} = {expr}")
-        if rd == 0:
+    def write(self, rd: int, expr: str, literal: bool = False) -> None:
+        """Emit ``r<rd> = expr``.  With *literal*, *expr* reads only
+        literals: it is evaluated here and ``rd`` becomes a known value."""
+        lines = self.lines
+        if literal and self.fold:
+            value = eval(expr)  # it reads literals only
+            if self._const_line == len(lines) - 1 and lines[-1].startswith(f"r{rd} = "):
+                lines.pop()  # nothing read the value it replaces
+            lines.append(f"r{rd} = {_lit(value)}")
+            self._const_line = len(lines) - 1
+            self._assigned(rd, value)
+            return
+        lines.append(f"r{rd} = {expr}")
+        self._assigned(rd)
+
+    def _assigned(self, rd: int, value: int | None = None) -> None:
+        """Bookkeeping once the emitted code has assigned ``r<rd>``: the
+        interpreter zeroes ``r0`` after every register write."""
+        self.used[rd] = self.written[rd] = True
+        consts = self.consts
+        if value is None:
+            consts.pop(rd, None)
+        else:
+            consts[rd] = value
+        if rd == 0 or 0 not in consts:
+            self.used[0] = self.written[0] = True
             self.lines.append("r0 = 0")
-        elif not self.r0_zero:
-            self.used[0] = True
-            self.lines.append("r0 = 0")
-        self.r0_zero = True
+        if self.fold:
+            consts[0] = 0
+
+    def _operand(self, reg: int):
+        """*reg*'s known value, or the name of its local."""
+        value = self.consts.get(reg)
+        return value if value is not None else self.read(reg)
 
     def _signed(self, expr: str, temp: str) -> str:
-        """Emit a signed-view temp of *expr*; returns the temp name."""
+        """The signed view of *expr*: a literal, or a temp it emits."""
+        if _is_literal(expr):
+            value = int(expr, 0)
+            return str(value - 0x100000000 if value & 0x80000000 else value)
         self.lines.append(f"{temp} = {expr}")
         self.lines.append(f"if {temp} >= 0x80000000:")
         self.lines.append(f"    {temp} -= 0x100000000")
         return temp
 
+    def _compare(self, t: str, u: str) -> None:
+        """``cr`` from the signed or unsigned views *t* and *u*."""
+        self.lines.append(f"cr = -1 if {t} < {u} else (1 if {t} > {u} else 0)")
+
     # -- straight-line instructions --------------------------------------
 
     def emit(self, k: int, decoded: tuple[int, int, int, int, int]) -> None:
         opcode, rd, ra, rb, imm = decoded
-        if opcode == OP_ADDI:
-            a = self.read(ra)
-            self.write(rd, hex(imm & 0xFFFFFFFF) if a == "0"
-                       else f"({a} + {imm}) & {_M}")
-        elif opcode == OP_ADDIS:
-            a = self.read(ra)
-            self.write(rd, hex((imm << 16) & 0xFFFFFFFF) if a == "0"
-                       else f"({a} + {imm << 16}) & {_M}")
-        elif opcode == OP_MULLI:
-            a = self.read(ra)
-            self.write(rd, "0" if a == "0" else f"({a} * {imm}) & {_M}")
-        elif opcode == OP_ANDI:
-            a = self.read(ra)
-            self.write(rd, "0" if a == "0" else f"{a} & {imm}")
-        elif opcode == OP_ORI:
-            a = self.read(ra)
-            self.write(rd, hex(imm) if a == "0" else f"{a} | {imm}")
-        elif opcode == OP_XORI:
-            a = self.read(ra)
-            self.write(rd, hex(imm) if a == "0" else f"{a} ^ {imm}")
-        elif opcode == OP_CMPI:
-            self.uses_cr = True
-            a = self.read(ra)
-            if a == "0":
-                self.lines.append(
-                    f"cr = {-1 if 0 < imm else (1 if 0 > imm else 0)}"
-                )
-            else:
-                t = self._signed(a, "t")
-                self.lines.append(
-                    f"cr = -1 if {t} < {imm} else (1 if {t} > {imm} else 0)"
-                )
-        elif opcode == OP_CMPLI:
-            self.uses_cr = True
-            a = self.read(ra)
-            if a == "0":
-                self.lines.append(f"cr = {-1 if 0 < imm else 0}")
-            else:
-                self.lines.append(
-                    f"cr = -1 if {a} < {imm} else (1 if {a} > {imm} else 0)"
-                )
-        elif opcode == OP_SLWI:
-            a = self.read(ra)
-            self.write(rd, "0" if a == "0" else f"({a} << {imm & 31}) & {_M}")
-        elif opcode == OP_SRWI:
-            a = self.read(ra)
-            self.write(rd, "0" if a == "0" else f"{a} >> {imm & 31}")
-        elif opcode == OP_SRAWI:
-            a = self.read(ra)
-            if a == "0":
-                self.write(rd, "0")
-            else:
-                t = self._signed(a, "t")
-                self.write(rd, f"({t} >> {imm & 31}) & {_M}")
-        elif opcode == OP_MFLR:
+        if opcode == OP_XO:
+            self._emit_xo(k, rd, ra, rb, imm)
+            return
+        if opcode == OP_LWZ:
+            self._emit_load_word(k, rd, ra, imm)
+            return
+        if opcode == OP_STW:
+            self._emit_store_word(k, rd, ra, imm)
+            return
+        if opcode == OP_LBZ:
+            self._emit_load_byte(k, rd, ra, imm)
+            return
+        if opcode == OP_STB:
+            self._emit_store_byte(k, rd, ra, imm)
+            return
+        if opcode == OP_MFLR:
             self.uses_lr = True
             self.write(rd, f"lr & {_M}")
-        elif opcode == OP_MTLR:
+            return
+        if opcode == OP_MTLR:
             self.uses_lr = True
             self.lines.append(f"lr = {self.read(rd)}")
-        elif opcode == OP_LWZ:
-            self._emit_load_word(k, rd, ra, imm)
-        elif opcode == OP_STW:
-            self._emit_store_word(k, rd, ra, imm)
-        elif opcode == OP_LBZ:
-            self._emit_load_byte(k, rd, ra, imm)
-        elif opcode == OP_STB:
-            self._emit_store_byte(k, rd, ra, imm)
-        elif opcode == OP_XO:
-            self._emit_xo(k, rd, ra, rb, imm)
+            return
+        a = self.read(ra)
+        literal = _is_literal(a)
+        if not imm and opcode in _MOVES:
+            self.write(rd, a, literal)  # mr: registers are already masked
+        elif opcode == OP_ADDI:
+            self.write(rd, f"({a} + {imm}) & {_M}", literal)
+        elif opcode == OP_ADDIS:
+            self.write(rd, f"({a} + {imm << 16}) & {_M}", literal)
+        elif opcode == OP_MULLI:
+            self.write(rd, f"({a} * {imm}) & {_M}", literal)
+        elif opcode == OP_ANDI:
+            self.write(rd, f"{a} & {imm}", literal)
+        elif opcode == OP_ORI:
+            self.write(rd, f"{a} | {imm}", literal)
+        elif opcode == OP_XORI:
+            self.write(rd, f"{a} ^ {imm}", literal)
+        elif opcode == OP_CMPI:
+            self.uses_cr = True
+            self._compare(self._signed(a, "t"), str(imm))
+        elif opcode == OP_CMPLI:
+            self.uses_cr = True
+            self._compare(a, str(imm))
+        elif opcode == OP_SLWI:
+            self.write(rd, f"({a} << {imm & 31}) & {_M}", literal)
+        elif opcode == OP_SRWI:
+            self.write(rd, f"{a} >> {imm & 31}", literal)
+        elif opcode == OP_SRAWI:
+            t = self._signed(a, "t")
+            self.write(rd, f"({t} >> {imm & 31}) & {_M}", literal)
         else:  # pragma: no cover - the scanner only admits supported words
             raise AssertionError(f"unsupported opcode {opcode:#x} in block")
 
@@ -396,16 +443,22 @@ class _Emitter:
         ranges = "lo0 <= ea < hi0 or lo1 <= ea < hi1"
         return f"ea & 3 == 0 and ({ranges})" if word else ranges
 
-    def _emit_access(self, k: int, ra: int, imm: int, word: bool,
-                     inline: str, slow: str) -> None:
+    def _address(self, k: int, ra: int, imm: int, word: bool) -> tuple[str, str]:
+        """The effective address of access *k* and the condition under
+        which it runs inline.  A known address is a literal, and its
+        condition is decided once per closure instantiation."""
         self.can_trap = True
         a = self.read(ra)
-        if a == "0":
-            self.lines.append(f"ea = {hex(imm & 0xFFFFFFFF)}")
-        else:
-            self.lines.append(f"ea = ({a} + {imm}) & {_M}")
+        if not _is_literal(a):
+            self.lines.append(f"ea = ({a} + {imm}) & {_M}" if imm else f"ea = {a}")
+            return "ea", self._inline(word)
+        ea = _lit((int(a, 0) + imm) & 0xFFFFFFFF)
+        self.prelude += [f"ea = {ea}", f"_ok{k} = {self._inline(word)}"]
+        return ea, f"_ok{k}"
+
+    def _emit_access(self, k: int, test: str, inline: str, slow: str) -> None:
         self.lines += [
-            f"if {self._inline(word)}:",
+            f"if {test}:",
             f"    {inline}",
             "else:",
             f"    ip = {k}",
@@ -413,43 +466,47 @@ class _Emitter:
         ]
 
     def _emit_load_word(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._emit_access(k, ra, imm, True, "t = unpack(mem_data, ea)[0]",
-                          f"t = slow({OP_LWZ}, ea, 0)")
-        self.write(rd, "t")
+        ea, test = self._address(k, ra, imm, True)
+        self._emit_access(k, test, f"r{rd} = unpack(mem_data, {ea})[0]",
+                          f"r{rd} = slow({OP_LWZ}, {ea}, 0)")
+        self._assigned(rd)
 
     def _emit_store_word(self, k: int, rd: int, ra: int, imm: int) -> None:
         value = self.read(rd)
-        self._emit_access(k, ra, imm, True, f"pack(mem_data, ea, {value})",
-                          f"slow({OP_STW}, ea, {value})")
+        ea, test = self._address(k, ra, imm, True)
+        self._emit_access(k, test, f"pack(mem_data, {ea}, {value})",
+                          f"slow({OP_STW}, {ea}, {value})")
 
     def _emit_load_byte(self, k: int, rd: int, ra: int, imm: int) -> None:
-        self._emit_access(k, ra, imm, False, "t = mem_data[ea]",
-                          f"t = slow({OP_LBZ}, ea, 0)")
-        self.write(rd, "t")
+        ea, test = self._address(k, ra, imm, False)
+        self._emit_access(k, test, f"r{rd} = mem_data[{ea}]",
+                          f"r{rd} = slow({OP_LBZ}, {ea}, 0)")
+        self._assigned(rd)
 
     def _emit_store_byte(self, k: int, rd: int, ra: int, imm: int) -> None:
         value = self.read(rd)
-        self._emit_access(k, ra, imm, False, f"mem_data[ea] = {value} & 0xFF",
-                          f"slow({OP_STB}, ea, {value})")
+        byte = _lit(int(value, 0) & 0xFF) if _is_literal(value) else f"{value} & 0xFF"
+        ea, test = self._address(k, ra, imm, False)
+        self._emit_access(k, test, f"mem_data[{ea}] = {byte}",
+                          f"slow({OP_STB}, {ea}, {value})")
 
     # -- the XO register-register group -----------------------------------
 
     def _emit_xo(self, k: int, rd: int, ra: int, rb: int, subop: int) -> None:
         a = self.read(ra)
         b = self.read(rb)
+        literal = _is_literal(a) and _is_literal(b)
         if subop == XO_ADD:
-            self.write(rd, f"({a} + {b}) & {_M}")
+            self.write(rd, f"({a} + {b}) & {_M}", literal)
         elif subop == XO_SUB:
-            self.write(rd, f"({a} - {b}) & {_M}")
+            self.write(rd, f"({a} - {b}) & {_M}", literal)
         elif subop == XO_MUL:
-            self.write(rd, f"({a} * {b}) & {_M}")
+            self.write(rd, f"({a} * {b}) & {_M}", literal)
         elif subop == XO_CMP:
             self.uses_cr = True
-            t = self._signed(a, "t")
-            u = self._signed(b, "u")
-            self.lines.append(
-                f"cr = -1 if {t} < {u} else (1 if {t} > {u} else 0)"
-            )
+            self._compare(self._signed(a, "t"), self._signed(b, "u"))
+        elif subop in (XO_DIVW, XO_MODW) and _is_literal(b) and int(b, 0):
+            self.write(rd, _known_divisor(subop, a, int(b, 0)), _is_literal(a))
         elif subop in (XO_DIVW, XO_MODW):
             self.can_trap = True
             self.prelude.append(
@@ -471,62 +528,176 @@ class _Emitter:
             else:
                 self.write(rd, f"({t} - q * {u}) & {_M}")
         elif subop == XO_AND:
-            self.write(rd, f"{a} & {b}")
+            self.write(rd, f"{a} & {b}", literal)
         elif subop == XO_OR:
-            self.write(rd, f"{a} | {b}")
+            self.write(rd, f"{a} | {b}", literal)
         elif subop == XO_XOR:
-            self.write(rd, f"{a} ^ {b}")
+            self.write(rd, f"{a} ^ {b}", literal)
         elif subop == XO_NOR:
-            self.write(rd, f"({a} | {b}) ^ {_M}")
+            self.write(rd, f"({a} | {b}) ^ {_M}", literal)
         elif subop == XO_SLW:
-            self.write(rd, f"({a} << ({b} & 31)) & {_M}")
+            self.write(rd, f"({a} << ({b} & 31)) & {_M}", literal)
         elif subop == XO_SRW:
-            self.write(rd, f"{a} >> ({b} & 31)")
+            self.write(rd, f"{a} >> ({b} & 31)", literal)
         elif subop == XO_SRAW:
             t = self._signed(a, "t")
-            self.write(rd, f"({t} >> ({b} & 31)) & {_M}")
+            self.write(rd, f"({t} >> ({b} & 31)) & {_M}", literal)
         elif subop == XO_NEG:
-            self.write(rd, f"(-{a}) & {_M}")
+            self.write(rd, f"(-{a}) & {_M}", _is_literal(a))
         elif subop == XO_NOT:
-            self.write(rd, f"{a} ^ {_M}")
+            self.write(rd, f"{a} ^ {_M}", _is_literal(a))
         else:  # pragma: no cover - the scanner only admits valid subops
             raise AssertionError(f"unsupported XO subop {subop:#x} in block")
 
+    # -- fused compare and branch ------------------------------------------
+
+    def defer_compare(self, decoded: tuple[int, int, int, int, int]) -> None:
+        """Emit the compare *decoded* for the conditional branch right
+        after it, which then branches on the compare's operands and sets
+        ``cr`` on each of its paths (see :meth:`split`)."""
+        opcode, _rd, ra, rb, imm = decoded
+        self.uses_cr = True
+        b = self._operand(rb) if opcode == OP_XO else imm & 0xFFFFFFFF
+        self.cmp = (opcode != OP_CMPLI, self._operand(ra), b)
+
+    def split(self, cond: int) -> tuple[str, str | None, str | None]:
+        """``(test, cr_if, cr_else)`` for a branch on *cond*: *test* holds
+        exactly when the branch is taken, and after a deferred compare
+        ``cr_if`` and ``cr_else`` are the values ``cr`` takes on each
+        path (otherwise ``None``: ``cr`` already holds its value)."""
+        cmp = self.cmp
+        if cmp is None:
+            return _COND_EXPR[cond], None, None
+        self.cmp = None
+        signed, a, b = cmp
+        bias = 0x80000000 if signed else 0
+
+        def view(x, biased):
+            if isinstance(x, int):
+                return _lit(x ^ biased)
+            return f"{x} ^ {_lit(biased)}" if biased else x
+
+        sa, sb = view(a, bias), view(b, bias)
+        ua, ub = view(a, 0), view(b, 0)
+        test = {
+            COND_LT: f"{sa} < {sb}", COND_GE: f"{sa} >= {sb}",
+            COND_GT: f"{sa} > {sb}", COND_LE: f"{sa} <= {sb}",
+            COND_EQ: f"{ua} == {ub}", COND_NE: f"{ua} != {ub}",
+        }
+        holds = {
+            COND_LT: "-1", COND_GT: "1", COND_EQ: "0",
+            COND_GE: f"0 if {ua} == {ub} else 1",
+            COND_LE: f"0 if {ua} == {ub} else -1",
+            COND_NE: f"-1 if {sa} < {sb} else 1",
+        }
+        return test[cond], holds[cond], holds[_OPPOSITE[cond]]
+
     # -- terminators -------------------------------------------------------
 
-    def emit_terminal(self, k: int, decoded: tuple[int, int, int, int, int]) -> str:
-        """The terminal branch; returns the ``return <next_pc>`` line."""
+    def emit_terminal(self, k: int, decoded: tuple[int, int, int, int, int]) -> list[str]:
+        """The terminal branch: lines whose every path ends in an exit
+        marker (``_EXIT`` and the next pc's expression)."""
         opcode, rd, _ra, _rb, imm = decoded
         if opcode == OP_B:
             self.prelude.append(
                 f"_t{k} = (entry_pc + {4 * (k + imm)}) & 0xFFFFFFFF"
             )
-            return f"return _t{k}"
+            return [f"{_EXIT}_t{k}"]
         if opcode == OP_BL:
             self.uses_lr = True
             self.prelude.append(
                 f"_t{k} = (entry_pc + {4 * (k + imm)}) & 0xFFFFFFFF"
             )
             self.prelude.append(f"_l{k} = entry_pc + {4 * k + 4}")
-            self.lines.append(f"lr = _l{k}")
-            return f"return _t{k}"
+            return [f"lr = _l{k}", f"{_EXIT}_t{k}"]
         if opcode == OP_BLR:
             self.uses_lr = True
-            return "return lr"
+            return [f"{_EXIT}lr"]
         assert opcode == OP_BC
         self.prelude.append(
             f"_t{k} = (entry_pc + {4 * (k + imm)}) & 0xFFFFFFFF"
         )
         if rd == COND_ALWAYS:
-            return f"return _t{k}"
+            return [f"{_EXIT}_t{k}"]
         self.uses_cr = True
         self.prelude.append(f"_f{k} = entry_pc + {4 * k + 4}")
-        return f"return _t{k} if {_COND_EXPR[rd]} else _f{k}"
+        test, cr_if, cr_else = self.split(rd)
+        if cr_if is None:
+            return [f"{_EXIT}_t{k} if {test} else _f{k}"]
+        return [f"if {test}:", f"    cr = {cr_if}", f"    {_EXIT}_t{k}",
+                f"cr = {cr_else}", f"{_EXIT}_f{k}"]
 
-    def emit_fallthrough(self, count: int) -> str:
+    def emit_fallthrough(self, count: int) -> list[str]:
         """No terminal branch (block cut by a watch / ``sc`` / cap)."""
         self.prelude.append(f"_fall = entry_pc + {4 * count}")
-        return "return _fall"
+        return [f"{_EXIT}_fall"]
+
+    def exits(self) -> tuple[list[str], list[str]]:
+        """The hoists at entry and the write-backs at every exit."""
+        hoists = [f"r{reg} = regs[{reg}]" for reg in self.used]
+        writebacks = [f"regs[{reg}] = r{reg}" for reg in self.written]
+        if self.uses_cr:
+            hoists.append("cr = core.cr")
+            writebacks.append("core.cr = cr")
+        if self.uses_lr:
+            hoists.append("lr = core.lr")
+            writebacks.append("core.lr = lr")
+        return hoists, writebacks
+
+
+#: A conditional branch's condition negated.
+_OPPOSITE = {COND_LT: COND_GE, COND_GE: COND_LT, COND_GT: COND_LE,
+             COND_LE: COND_GT, COND_EQ: COND_NE, COND_NE: COND_EQ}
+
+_COMPARES = frozenset({OP_CMPI, OP_CMPLI})
+
+#: Immediate forms that copy ``ra`` when the immediate is 0.
+_MOVES = frozenset({OP_ADDI, OP_ORI, OP_XORI})
+
+
+def _is_compare(decoded) -> bool:
+    return decoded[0] in _COMPARES or (decoded[0] == OP_XO and decoded[4] == XO_CMP)
+
+
+def _lit(value: int) -> str:
+    """A known value as emitted source."""
+    return str(value) if value < 10 else hex(value)
+
+
+def _is_literal(expr: str) -> bool:
+    """Whether an operand :meth:`_Emitter.read` returned is a known value
+    (a literal) rather than a local."""
+    return expr[0] in "-0123456789"
+
+
+def _known_divisor(subop: int, a: str, divisor: int) -> str:
+    """``divw``/``modw`` of the unsigned operand *a* by the known non-zero
+    *divisor* (unsigned): truncating, like the interpreter, on the
+    magnitude of a negative dividend, ``0x100000000 - a``."""
+    m = divisor if divisor < 0x80000000 else 0x100000000 - divisor
+    neg = f"0x100000000 - {a}"
+    if subop == XO_MODW:
+        return f"-(({neg}) % {m}) & {_M} if {a} >= 0x80000000 else {a} % {m}"
+    if divisor < 0x80000000:
+        return f"-(({neg}) // {m}) & {_M} if {a} >= 0x80000000 else {a} // {m}"
+    return f"({neg}) // {m} if {a} >= 0x80000000 else -({a} // {m}) & {_M}"
+
+
+def _expand_exits(lines: list[str], exits: list[str]) -> list[str]:
+    """*lines* with every exit marker replaced by *exits* and its
+    ``return``: ``<_EXIT><target>`` returns the target, and
+    ``<_EXIT><target>\\x00<count>`` (traces) the pair."""
+    final: list[str] = []
+    for line in lines:
+        stripped = line.lstrip()
+        if stripped.startswith(_EXIT):
+            indent = line[: len(line) - len(stripped)]
+            final += [indent + exit_line for exit_line in exits]
+            final.append(indent + "return " + ", ".join(
+                stripped[len(_EXIT):].split("\x00")))
+        else:
+            final.append(line)
+    return final
 
 
 def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str:
@@ -534,21 +705,18 @@ def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str
     emitter = _Emitter()
     count = len(decoded)
     terminal = decoded[-1][0] in _TERMINATORS
+    fused = (terminal and count > 1 and decoded[-1][0] == OP_BC
+             and decoded[-1][1] in _COND_EXPR and _is_compare(decoded[-2]))
     for k in range(count - 1 if terminal else count):
-        emitter.emit(k, decoded[k])
+        if fused and k == count - 2:
+            emitter.defer_compare(decoded[k])
+        else:
+            emitter.emit(k, decoded[k])
     if terminal:
         ret = emitter.emit_terminal(count - 1, decoded[count - 1])
     else:
         ret = emitter.emit_fallthrough(count)
-
-    hoists = [f"r{reg} = regs[{reg}]" for reg in emitter.used]
-    writebacks = [f"regs[{reg}] = r{reg}" for reg in emitter.used]
-    if emitter.uses_cr:
-        hoists.append("cr = core.cr")
-        writebacks.append("core.cr = cr")
-    if emitter.uses_lr:
-        hoists.append("lr = core.lr")
-        writebacks.append("core.lr = lr")
+    hoists, writebacks = emitter.exits()
 
     out = [
         "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
@@ -561,9 +729,8 @@ def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str
         inner = "            "
     else:
         inner = "        "
-    for line in hoists + emitter.lines + writebacks:
+    for line in hoists + emitter.lines + ret:
         out.append(inner + line)
-    out.append(inner + ret)
     if emitter.can_trap:
         out.append("        except Trap as err:")
         handler = "            "
@@ -583,24 +750,19 @@ def _generate_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str
         ]
     out.append("    return run")
     out.append("")
-    return "\n".join(out)
+    return "\n".join(_expand_exits(out, writebacks))
 
 
 class _RangeEmitter(_Emitter):
     """Emits the instructions of one block's range closure.
 
     Which instructions ran before any one of them depends on where the
-    range starts, so ``r0`` is never folded to the literal ``0``: every
-    read names the local, and every register write zeroes it again.
+    range starts, so it folds nothing: ``r0`` is never the literal ``0``
+    (every read names the local, and every register write zeroes it
+    again), and no register is a known value.
     """
 
-    def read(self, reg: int) -> str:
-        self.used[reg] = True
-        return f"r{reg}"
-
-    def write(self, rd: int, expr: str) -> None:
-        super().write(rd, expr)
-        self.r0_zero = False
+    fold = False
 
 
 def _generate_range_source(decoded: tuple[tuple[int, int, int, int, int], ...]) -> str:
@@ -630,20 +792,8 @@ def _generate_range_source(decoded: tuple[tuple[int, int, int, int, int], ...]) 
             body += lines
             body.append("break")
     if terminal:
-        start = len(em.lines)
-        ret = em.emit_terminal(last, decoded[last])
-        tail = em.lines[start:]
-
-    hoists = [f"r{reg} = regs[{reg}]" for reg in em.used]
-    writebacks = [f"regs[{reg}] = r{reg}" for reg in em.used]
-    if em.uses_cr:
-        hoists.append("cr = core.cr")
-        writebacks.append("core.cr = cr")
-    if em.uses_lr:
-        hoists.append("lr = core.lr")
-        writebacks.append("core.lr = lr")
-    if terminal:
-        body += tail + writebacks + [ret]
+        body += em.emit_terminal(last, decoded[last])
+    hoists, writebacks = em.exits()
 
     out = [
         "def factory(entry_pc, machine, mem_data, read_ranges, write_ranges,",
@@ -677,7 +827,7 @@ def _generate_range_source(decoded: tuple[tuple[int, int, int, int, int], ...]) 
         ]
     out.append("    return run")
     out.append("")
-    return "\n".join(out)
+    return "\n".join(_expand_exits(out, writebacks))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +883,7 @@ class _TraceEmitter(_Emitter):
 
     ``known`` holds the frame slots whose local is current at the point
     being emitted.  A frame load of a known slot is a copy of its local;
-    a first load unpacks the word with no range test (the entry guard
+    a first load unpacks the word with no range test (the frame guard
     proved the whole frame mapped) and makes it known.  A frame store
     sets the local and, unless the trace defers its stores to the exits,
     writes through to memory, so memory stays exact for everything else
@@ -750,9 +900,11 @@ class _TraceEmitter(_Emitter):
         self.writes = False
         self.deferred = False
         self.preload: tuple[int, ...] = ()
+        self.guard_at = None  # step of a late frame guard
         self.stored: set[int] = set()  # slots a deferred trace must flush
         if frame is not None:
-            self.base, slots, self.writes, self.deferred, self.preload = frame
+            (self.base, slots, self.writes, self.deferred, self.preload,
+             self.guard_at) = frame
             self.slots = {disp: f"_s{i}" for i, disp in enumerate(slots)}
             self.known = set(self.preload)
 
@@ -801,22 +953,37 @@ class _TraceEmitter(_Emitter):
         self.prelude.append(
             f"{label} = (entry_pc + {exit_off}) & 0xFFFFFFFF"
         )
-        expr = _COND_EXPR[cond]
-        test = f"not ({expr})" if predicted_taken else expr
+        leave = _OPPOSITE[cond] if predicted_taken else cond
+        test, cr_if, cr_else = self.split(leave)
         self.lines.append(f"if {test}:")
+        if cr_if is not None:
+            self.lines.append(f"    cr = {cr_if}")
         self.lines.append(f"    {_EXIT}{label}\x00n + {k + 1}")
+        if cr_else is not None:
+            self.lines.append(f"cr = {cr_else}")
 
-    def emit_frame_guard(self) -> list[str]:
-        """Entry guard and preloads; the guard bails with ``(entry_pc, 0)``
-        unless the base is word-aligned and every slot lies inside one
-        range (a writable one if the trace stores to a slot).  The bound
-        stack range is tested first, against the factory-level
-        ``_flo``/``_fhi``; every other range by a walk."""
+    def emit_frame_guard(self, k: int | None = None) -> list[str]:
+        """The frame guard, and the preloads: it fails unless the base is
+        word-aligned and every slot lies inside one range (a writable one
+        if the trace stores to a slot).  The bound stack range is tested
+        first, against the factory-level ``_flo``/``_fhi``; every other
+        range by a walk.
+
+        At trace entry (*k* ``None``) a failure returns ``(entry_pc, 0)``
+        with nothing run.  A late guard, before step *k*, the trace's
+        first frame access, side-exits there with the *k* instructions
+        before it retired, and returns their count negated."""
         disps = sorted(self.slots)
         dmin, dmax = disps[0], disps[-1]
         base = self.read(self.base)
         self.prelude.append(f"_flo = {_plus('lo0', -dmin)}")
         self.prelude.append(f"_fhi = {_plus('hi0', -dmax)}")
+        if k is None:
+            fail = "return entry_pc, 0"
+        else:
+            self.prelude.append(
+                f"_gx = (entry_pc + {self.offsets[k]}) & 0xFFFFFFFF")
+            fail = f"{_EXIT}_gx\x00-{k}"
         ranges = "write_ranges" if self.writes else "read_ranges"
         lines = [
             f"if {base} & 3 or not _flo <= {base} < _fhi:",
@@ -825,7 +992,7 @@ class _TraceEmitter(_Emitter):
             f" and not {base} & 3:",
             "            break",
             "    else:",
-            "        return entry_pc, 0",
+            f"        {fail}",
         ]
         for disp in self.preload:
             lines.append(
@@ -845,42 +1012,61 @@ def _analyze_frame(steps, looping: bool) -> tuple[tuple | None, bool]:
     """The trace's frame: which word accesses its closure serves from
     Python locals.
 
-    The base is the register the trace never writes that carries the
-    most word accesses with a displacement that is a multiple of 4 (the
-    lowest register on a tie; never ``r0``); its slots are those
-    displacements.  Returns ``(frame, aliased)``, where ``frame`` is
-    ``None`` or ``(base, slots, writes, deferred, preload)``:
+    The base is the register that carries the most word accesses with a
+    displacement that is a multiple of 4 (the lowest register on a tie;
+    never ``r0``) among those a looping trace never writes, or a
+    non-looping one writes only before its first such access or after
+    its last (O0's prologue ``mr r30, r1`` and epilogue ``mr r30, r13``);
+    its slots are those displacements.  Returns ``(frame, aliased)``,
+    where ``frame`` is ``None`` or ``(base, slots, writes, deferred,
+    preload, guard_at)``:
 
-    * ``writes`` — some slot is stored to, so the entry guard asks for a
+    * ``writes`` — some slot is stored to, so the frame guard asks for a
       writable range;
     * ``deferred`` — a looping trace whose every memory access is a
       frame word: no other access can observe a slot, so stores update
       the local only and the exits flush them;
     * ``preload`` — the slots a looping trace loads at entry and keeps
       current across iterations: those the body accesses after its last
-      non-frame store (all of them when it has none).
+      non-frame store (all of them when it has none);
+    * ``guard_at`` — the step of the first frame access when the trace
+      writes the base before it (the guard then runs there, a *late*
+      guard), else ``None`` (at entry).
 
     ``aliased`` says whether a non-frame store in the trace forgets a
     known slot.
     """
-    instrs = [dec for _off, dec, role, _aux in steps if role == "i"]
     counts: dict[int, int] = {}
-    written: set[int] = set()
-    for op, rd, ra, _rb, imm in instrs:
+    first: dict[int, int] = {}  # register -> step of its first frame access
+    last: dict[int, int] = {}
+    writes_at: dict[int, list[int]] = {}  # register -> steps writing it
+    for k, (_off, dec, role, _aux) in enumerate(steps):
+        if role != "i":
+            continue
+        op, rd, ra, _rb, imm = dec
         if (op == OP_LWZ or op == OP_STW) and ra and not imm & 3:
             counts[ra] = counts.get(ra, 0) + 1
+            first.setdefault(ra, k)
+            last[ra] = k
         if op in _WRITES_RD or (op == OP_XO and imm != XO_CMP):
-            written.add(rd)
-    for reg in written:
-        counts.pop(reg, None)
+            writes_at.setdefault(rd, []).append(k)
+    for reg, ks in writes_at.items():
+        # An access that also writes its base (lwz r30, 8(r30)) reads it
+        # first, so a write at the last access's step comes after it.
+        if reg in counts and (looping or any(first[reg] <= w < last[reg]
+                                             for w in ks)):
+            del counts[reg]
     if not counts:
         return None, False
     base = min(counts, key=lambda reg: (-counts[reg], reg))
+    late = any(w < first[base] for w in writes_at.get(base, ()))
 
     slots: set[int] = set()
     tail: set[int] = set()  # slots accessed since the last other store
     writes = stores = loads = aliased = False
-    for op, _rd, ra, _rb, imm in instrs:
+    for _off, (op, _rd, ra, _rb, imm), role, _aux in steps:
+        if role != "i":
+            continue
         if (op == OP_LWZ or op == OP_STW) and ra == base and not imm & 3:
             slots.add(imm)
             tail.add(imm)
@@ -896,7 +1082,9 @@ def _analyze_frame(steps, looping: bool) -> tuple[tuple | None, bool]:
     # The first store of a looping trace also forgets the preloaded slots.
     aliased = aliased or (stores and bool(preload))
     deferred = looping and not stores and not loads
-    return (base, tuple(sorted(slots)), writes, deferred, preload), aliased
+    frame = (base, tuple(sorted(slots)), writes, deferred, preload,
+             first[base] if late else None)
+    return frame, aliased
 
 
 def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
@@ -904,9 +1092,10 @@ def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
 
     ``run(core, regs, budget) -> (next_pc, executed)``.  The dispatcher
     only calls it with ``budget >= count``; a looping trace batches full
-    iterations while ``n + count <= budget`` still holds.  A return of
-    ``(entry_pc, 0)`` means the frame guard failed and no architectural
-    state was touched.
+    iterations while ``n + count <= budget`` still holds.  A failed frame
+    guard returns ``executed <= 0``: ``(entry_pc, 0)`` from the guard at
+    entry, with no architectural state touched, and ``(pc, -k)`` from a
+    late guard, after the ``k`` instructions before ``pc`` retired.
     """
     offsets = [step[0] for step in steps]
     tkind, tdec, toff, taux = terminal
@@ -914,10 +1103,21 @@ def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
         offsets.append(toff)
 
     em = _TraceEmitter(offsets, frame)
-    guard = em.emit_frame_guard() if frame is not None else []
+    guard = []
+    if frame is not None and em.guard_at is None:
+        guard = em.emit_frame_guard()
+    # A compare right before a conditional branch is fused into it.
+    fuse_last = tkind in ("bc", "loop_taken", "loop_fall")
+    last = len(steps) - 1
     for k, (off, dec, role, aux) in enumerate(steps):
+        if k == em.guard_at:
+            em.lines += em.emit_frame_guard(k)
         if role == "i":
-            em.emit(k, dec)
+            if _is_compare(dec) and (steps[k + 1][2] in ("gt", "gf") if k < last
+                                     else fuse_last):
+                em.defer_compare(dec)
+            else:
+                em.emit(k, dec)
         elif role == "s":
             pass  # internal unconditional branch: the path is baked in
         else:
@@ -939,15 +1139,21 @@ def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
         em.uses_cr = True
         em.prelude.append(f"_x = (entry_pc + {taux}) & 0xFFFFFFFF")
         lines.append(f"n += {count}")
+        test, cr_if, cr_else = em.split(tdec[1])
+        lines.append(f"if {test}:")
+        if cr_if is not None:
+            lines.append(f"    cr = {cr_if}")
         if tkind == "loop_taken":
-            lines.append(f"if {_COND_EXPR[tdec[1]]}:")
             lines.append(f"    if n + {count} <= budget:")
             lines.append("        continue")
             lines.append(f"    {_EXIT}entry_pc\x00n")
+            if cr_else is not None:
+                lines.append(f"cr = {cr_else}")
             lines.append(f"{_EXIT}_x\x00n")
         else:
-            lines.append(f"if {_COND_EXPR[tdec[1]]}:")
             lines.append(f"    {_EXIT}_x\x00n")
+            if cr_else is not None:
+                lines.append(f"cr = {cr_else}")
             lines.append(f"if n + {count} <= budget:")
             lines.append("    continue")
             lines.append(f"{_EXIT}entry_pc\x00n")
@@ -968,18 +1174,16 @@ def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
         em.uses_cr = True
         em.prelude.append(f"_t = (entry_pc + {taux[0]}) & 0xFFFFFFFF")
         em.prelude.append(f"_f = (entry_pc + {taux[1]}) & 0xFFFFFFFF")
-        lines.append(f"if {_COND_EXPR[tdec[1]]}:")
+        test, cr_if, cr_else = em.split(tdec[1])
+        lines.append(f"if {test}:")
+        if cr_if is not None:
+            lines.append(f"    cr = {cr_if}")
         lines.append(f"    {_EXIT}_t\x00n + {count}")
+        if cr_else is not None:
+            lines.append(f"cr = {cr_else}")
         lines.append(f"{_EXIT}_f\x00n + {count}")
 
-    hoists = [f"r{reg} = regs[{reg}]" for reg in em.used]
-    writebacks = [f"regs[{reg}] = r{reg}" for reg in em.used]
-    if em.uses_cr:
-        hoists.append("cr = core.cr")
-        writebacks.append("core.cr = cr")
-    if em.uses_lr:
-        hoists.append("lr = core.lr")
-        writebacks.append("core.lr = lr")
+    hoists, writebacks = em.exits()
     flushes = [
         f"pack(mem_data, {em.slot_ea(disp)}, {em.slots[disp]})"
         for disp in sorted(em.stored)
@@ -1028,19 +1232,7 @@ def _generate_trace_source(steps, terminal, frame, count, looping) -> str:
         ]
     out.append("    return run")
     out.append("")
-
-    final: list[str] = []
-    for line in out:
-        stripped = line.lstrip()
-        if stripped.startswith(_EXIT):
-            indent = line[: len(line) - len(stripped)]
-            target, n_expr = stripped[len(_EXIT):].split("\x00")
-            for exit_line in exits:
-                final.append(indent + exit_line)
-            final.append(indent + f"return {target}, {n_expr}")
-        else:
-            final.append(line)
-    return "\n".join(final)
+    return "\n".join(_expand_exits(out, exits))
 
 
 # ---------------------------------------------------------------------------
@@ -1144,9 +1336,10 @@ class CodeImage:
       machine compiled it;
     * ``ranges``: entry pc → factory of that block's range closure, once
       some multi-core machine compiled it;
-    * ``traces``: entry pc → ``(count, factory, span, aliased)`` of a
-      trace some machine formed there; ``span`` is the set of pcs its
-      instructions occupy.
+    * ``traces``: entry pc → ``(count, factory, span, aliased, late)``
+      of a trace some machine formed there; ``span`` is the set of pcs
+      its instructions occupy, and ``late`` says whether its frame guard
+      runs at its first frame access (see :func:`_analyze_frame`).
 
     Every factory here is one a machine built on its own trigger, so
     another machine's instantiating it compiles nothing new.  Closures,
@@ -1334,8 +1527,8 @@ class TraceEngine:
     profiled path is stitched into a superblock trace and dispatched as
     one closure call — side-exit guards return control to block dispatch
     whenever a stitched branch goes the unprofiled way, and a failed
-    frame guard retires the trace without touching any architectural
-    state.
+    frame guard retires the trace: at entry before anything ran, or at
+    a late guard with the instructions before it retired.
 
     Triggers are per machine: a block compiles on this machine's second
     entry and a trace forms at this machine's ``TRACE_HOT``.  What they
@@ -1366,6 +1559,7 @@ class TraceEngine:
         "traces_compiled",
         "traces_adopted",
         "traces_aliased",
+        "late_frames",
         "trace_bailouts",
     )
 
@@ -1409,6 +1603,10 @@ class TraceEngine:
         #: known frame slots at a store that may alias one (see
         #: ``_TraceEmitter``)
         self.traces_aliased = 0
+        #: traces this machine runs, formed or adopted, whose frame guard
+        #: runs late: at the first frame access, past a prologue that
+        #: writes the base
+        self.late_frames = 0
         self.trace_bailouts = 0
 
     # -- invalidation ------------------------------------------------------
@@ -1520,13 +1718,11 @@ class TraceEngine:
                 _trace.add_counter("blocks_adopted", 1)
             known = image.traces.get(entry_pc)
             if known is not None and self._clear_of_watches(known[2]):
-                need, factory, _span, aliased = known
+                need, factory, _span, aliased, late = known
                 self.traces[entry_pc] = (need, self._instantiate(factory, entry_pc))
                 self.traces_adopted += 1
                 _trace.add_counter("traces_adopted", 1)
-                if aliased:
-                    self.traces_aliased += 1
-                    _trace.add_counter("traces_aliased", 1)
+                self._count_frame(aliased, late)
         self.blocks[entry_pc] = entry
         return entry
 
@@ -1699,13 +1895,21 @@ class TraceEngine:
             self.traces[entry_pc] = (count, self._instantiate(factory, entry_pc))
             self.traces_compiled += 1
             _trace.add_counter("traces_compiled", 1)
-            if aliased:
-                self.traces_aliased += 1
-                _trace.add_counter("traces_aliased", 1)
+            late = frame is not None and frame[5] is not None
+            self._count_frame(aliased, late)
             _trace.add_counter("trace_instructions", count)
             if span is not None:
                 self._image.traces.setdefault(
-                    entry_pc, (count, factory, span, aliased))
+                    entry_pc, (count, factory, span, aliased, late))
+
+    def _count_frame(self, aliased: bool, late: bool) -> None:
+        """Count a trace this machine runs by its frame's kind."""
+        if aliased:
+            self.traces_aliased += 1
+            _trace.add_counter("traces_aliased", 1)
+        if late:
+            self.late_frames += 1
+            _trace.add_counter("late_frames", 1)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -1767,17 +1971,24 @@ class TraceEngine:
                     need = entry[0]
                     if need and need <= limit - executed:
                         new_pc, ran = entry[1](core, regs, limit - executed)
-                        if ran:
+                        if ran > 0:
                             pending += ran
                             executed += ran
                             pc = new_pc
                             continue
-                        # Frame guard bailed: nothing ran.  Retire the
+                        # The frame guard failed: at entry, with nothing
+                        # run, or late, with the -ran instructions before
+                        # the first frame access retired.  Retire the
                         # trace — block dispatch owns this PC until the
                         # next invalidation.
                         self.traces[pc] = _NO_TRACE
                         self.trace_bailouts += 1
                         _trace.add_counter("trace_bailouts", 1)
+                        if ran:
+                            pending -= ran
+                            executed -= ran
+                            pc = new_pc
+                            continue
                 entry = blocks_get(pc)
                 if entry is None:
                     core.pc = pc

@@ -130,6 +130,9 @@ class FuzzReport:
     #: ones an earlier machine of the same program image compiled (not
     #: journaled)
     adopted: int = 0
+    #: state-tier traces whose frame guard runs late, at the first frame
+    #: access past a prologue that writes the base (not journaled)
+    late_frames: int = 0
     #: state-tier runs on a multi-core machine (not in ``total_runs``,
     #: and not journaled)
     multicore: int = 0
@@ -149,6 +152,7 @@ class FuzzReport:
             f"state-cases={self.state_cases} record-campaigns={self.record_campaigns} "
             f"runs={self.total_runs} extrapolated={self.extrapolated_runs} "
             f"aliased={self.aliased_traces} adopted={self.adopted} "
+            f"late_frames={self.late_frames} "
             f"multicore={self.multicore} elapsed={self.elapsed:.1f}s"
             + (" (stopped early: budget)" if self.stopped_early else ""),
         ]
@@ -560,6 +564,7 @@ def _fuzz_machine_program(config: FuzzConfig, report: FuzzReport,
     report.extrapolated_runs += oracle.extrapolated
     report.aliased_traces += oracle.aliased
     report.adopted += oracle.adopted
+    report.late_frames += oracle.late_frames
     report.multicore += oracle.multicore
 
 

@@ -8,8 +8,9 @@ execution engines and the snapshot fast path have historically disagreed:
 pointer accesses, call/return and recursion, the heap allocator's
 strict free checking, (in about half the programs) a loop that hangs
 stationarily once its step is stuck, which the compiled engine ends at
-its cycle, and (in about half) stores through a pointer to a local that
-a trace has cached.
+its cycle, (in about half) stores through a pointer to a local that
+a trace has cached, and (in all) a helper called often enough for a
+trace to form at its entry, past the prologue that sets its frame base.
 
 A :class:`GenProgram` is deliberately *structured* rather than a flat
 source string: statements are a small tree the shrinker
@@ -457,6 +458,34 @@ class _Generator:
         ]
         return GenFunc(name, ("n",), body)
 
+    def _hot_function(self, name: str) -> tuple[GenFunc, Stmt]:
+        """A helper whose body opens with a biased ``if`` and divides by
+        a literal, and the loop in ``main`` that calls it 40-80 times.
+
+        ``main`` calls every other generated function once, so no trace
+        forms at a function's entry; this one's forms after
+        ``TRACE_HOT`` calls and runs through the prologue, which writes
+        the frame base before its first frame access (a late frame
+        guard), to the division by a known divisor.
+        """
+        rng = self.rng
+        body = [
+            Stmt("if", cond=f"a > {rng.randint(90, 200)}",
+                 body=[line("b = b - a")]),
+            line(f"return (a + b) {rng.choice(('/', '%'))} "
+                 f"{rng.choice((-8, -3, -1, 2, 7, 8))}"),
+        ]
+        var = self._fresh("i")
+        loop = Stmt(
+            "for",
+            init=f"{var} = 0",
+            cond=f"{var} < {rng.randint(40, 80)}",
+            # Not ``++``, for the same reason as in :meth:`_stmt_alias`.
+            step=f"{var} = {var} + 1",
+            body=[line(f"gacc += {name}({var}, {rng.choice(INPUT_SCALARS)})")],
+        )
+        return GenFunc(name, ("a", "b"), body), _decl_pair(var, loop)
+
     # -- the program ---------------------------------------------------
 
     def generate(self) -> GenProgram:
@@ -495,6 +524,10 @@ class _Generator:
         # Drawn after that, for the same reason.
         if rng.random() < 0.5:
             main.append(self._stmt_alias())
+        # And this after everything else.
+        hot, calls = self._hot_function(f"fn{len(callables)}")
+        functions.append(hot)
+        main.append(calls)
 
         # Observable tail: print the accumulators and the work array, so
         # any surviving state corruption reaches the console oracle too.

@@ -132,13 +132,15 @@ def run_state(executable, spec: MachineFault | None, case: InputCase, *,
 
 def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
                budget: int, engine: str, quantum: int = 64,
-               num_cores: int = 1) -> tuple[StateDigest, bool, int, int]:
+               num_cores: int = 1) -> tuple[StateDigest, bool, int, int, int]:
     """:func:`run_state`, plus whether the run ended a hang at its cycle,
     how many of its traces forget cached frame slots at a store that may
-    alias one (``TraceEngine.traces_aliased``), and how many blocks,
-    ranges and traces it adopted from earlier machines of the image
+    alias one (``TraceEngine.traces_aliased``), how many blocks, ranges
+    and traces it adopted from earlier machines of the image
     (``TraceEngine.blocks_adopted`` + ``ranges_adopted`` +
-    ``traces_adopted``)."""
+    ``traces_adopted``), and how many of its traces guard their frame
+    late, past a prologue that writes the base
+    (``TraceEngine.late_frames``)."""
     machine = boot(executable, num_cores=num_cores, inputs=dict(case.pokes),
                    engine=engine)
     session = InjectionSession(machine)
@@ -149,10 +151,11 @@ def _run_state(executable, spec: MachineFault | None, case: InputCase, *,
     digest = machine_digest(machine, result, session, fault_id)
     compiled = machine.block_engine
     if compiled is None:
-        return digest, session.cycle is not None, 0, 0
+        return digest, session.cycle is not None, 0, 0, 0
     adopted = (compiled.blocks_adopted + compiled.ranges_adopted
                + compiled.traces_adopted)
-    return digest, session.cycle is not None, compiled.traces_aliased, adopted
+    return (digest, session.cycle is not None, compiled.traces_aliased,
+            adopted, compiled.late_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,8 @@ class DifferentialOracle:
         #: state-tier blocks, ranges and traces adopted from an earlier
         #: machine
         self.adopted = 0
+        #: state-tier traces whose frame guard runs late
+        self.late_frames = 0
         #: state-tier runs on a multi-core machine (not in ``runs``, so
         #: the fuzzer's journal keeps its bytes)
         self.multicore = 0
@@ -253,7 +258,7 @@ class DifferentialOracle:
         fault_id = spec.fault_id if spec is not None else "golden"
         digests: dict[str, StateDigest] = {}
         for engine in self.state_engines:
-            digests[engine], extrapolated, aliased, adopted = _run_state(
+            digests[engine], extrapolated, aliased, adopted, late = _run_state(
                 self.compiled.executable, spec, case, budget=budget,
                 engine=engine, quantum=quantum, num_cores=num_cores,
             )
@@ -264,6 +269,7 @@ class DifferentialOracle:
             self.extrapolated += extrapolated
             self.aliased += aliased
             self.adopted += adopted
+            self.late_frames += late
         machine = {"cores": num_cores, "quantum": quantum}
         base_engine = self.state_engines[0]
         base = digests[base_engine]

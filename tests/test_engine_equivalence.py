@@ -18,6 +18,7 @@ from repro.emulation import ASSIGNMENT_CLASS, CHECKING_CLASS
 from repro.emulation.rules import generate_error_set
 from repro.lang import compile_source
 from repro.machine import ENGINE_SIMPLE, ENGINE_TRACE, ENGINES, blocks, boot
+from repro.machine.cpu import decode_fields
 from repro.swifi import CampaignConfig, CampaignRunner, InputCase
 from repro.swifi.campaign import execute_injection_run
 
@@ -752,13 +753,73 @@ class TestCompiledMemoryAccessEdges:
         assert readable == writable + [(0x1000, 0x1000 + 4 * 33)]
 
 
+def _known_address_states(op: str, address: int) -> list[dict]:
+    """State after one *op* at the known *address* (its base is set from
+    constants in the same block, after a first register write has made
+    ``r0`` the known 0), from the interpreter and from the block's
+    compiled closure, which decides the inline test when it is
+    instantiated."""
+    from repro.isa import assemble_text
+    from repro.machine import Executable
+    from repro.machine.traps import Trap
+
+    source = (f"addi r7, r0, 1\n"
+              f"addis r5, r0, {address >> 16}\n"
+              f"ori r5, r5, {address & 0xFFFF}\n"
+              f"{op} r6, 0(r5)\nsc 0")
+    program = assemble_text(source, base=0x1000)
+    executable = Executable(code=program.code, entry=0x1000,
+                            data=bytes(range(1, 21)))
+    words = tuple(int.from_bytes(program.code[i:i + 4], "big")
+                  for i in range(0, 16, 4))
+    assert "_ok3" in blocks._generate_source(tuple(map(decode_fields, words)))
+    states = []
+    for engine in ENGINES:
+        machine = boot(executable, engine=engine)
+        core = machine.cores[0]
+        core.regs[6] = 0x12345678
+        trap = None
+        try:
+            if engine == ENGINE_SIMPLE:
+                core._run_quantum_simple(4)
+            else:
+                run = machine.block_engine._instantiate(
+                    blocks._factory_for(words), 0x1000)
+                core.pc = run(core, core.regs)
+                core.instret += 4
+                machine.instret += 4
+        except Trap as error:
+            trap = (error.kind, error.pc, error.core_id, error.address)
+        states.append({"regs": list(core.regs), "pc": core.pc,
+                       "instret": core.instret, "trap": trap,
+                       "memory": bytes(machine.memory.data)})
+    return states
+
+
+class TestKnownAddressEdges:
+    """A load or store at a known address, on every segment edge, from
+    a block closure: it decides its inline test once per instantiation,
+    and must match ``simple`` exactly."""
+
+    def test_every_edge_matches_simple(self):
+        traps = set()
+        for address in _probe_addresses(1):
+            for op in _OPS:
+                simple, trace = _known_address_states(op, address)
+                assert trace == simple, (op, hex(address))
+                traps.add(simple["trap"] and simple["trap"][0])
+        assert traps == {None, "memory-fault", "alignment-fault"}
+
+
 def _slow_path_calls(executable, inputs, *, inline=True, frames=True):
     """Slow-path calls in one ``trace`` run of *executable*.
 
     With ``inline=False`` every emitted inline test reads ``False``, so
     every compiled access that takes one calls the slow path: the count
     is then the run's number of compiled memory accesses other than
-    frame slots, which take no such test.  With ``frames=False`` as well
+    frame slots, which take no such test.  An access at a known address
+    decides its test when its closure is instantiated, from the same
+    ``_Emitter._inline``, so the count includes those too.  With ``frames=False`` as well
     no trace has a frame, so the count covers every compiled access.
     Traces form and bail from branch profiles and the frame guard, which
     never consult the inline test, so these runs compile the same traces.
@@ -815,8 +876,10 @@ class TestSlowPathShare:
     def test_camelot_golden_run(self):
         slow, compiled = self._share(*_camelot_golden_run())
         # The run's compiled loads and stores that are not frame slots,
-        # 328 k of them, all reach the stack or the data segment.
-        assert compiled > 300_000
+        # 196 k of them, all reach the stack or the data segment.  (Before
+        # traces kept the frames of function entries, whose prologue
+        # writes the base, 328 k were.)
+        assert compiled > 180_000
         assert slow / compiled == 0.0
 
     def test_camelot_frame_slot_share(self):
@@ -824,9 +887,10 @@ class TestSlowPathShare:
         tested = _slow_path_calls(executable, inputs, inline=False)
         every = _slow_path_calls(executable, inputs, inline=False,
                                  frames=False)
-        # Frame slots serve 547 k of the 876 k compiled loads and stores.
+        # Frame slots serve 679 k of the 876 k compiled loads and stores
+        # (77.6 %; 62.5 % when function entries had no frame).
         assert every > 800_000
-        assert 1 - tested / every > 0.55
+        assert 1 - tested / every > 0.75
 
     def test_memory_loop(self):
         from benchmarks.test_machine_throughput import MEMORY_LOOP
@@ -860,10 +924,18 @@ class TestInlineBoundSabotage:
                     simple, *compiled = _probe_states(op, address, 3, 1)
                     assert simple["trap_at"][0] == "memory-fault"
                     assert all(state != simple for state in compiled)
+            # Known addresses decide the same test at instantiation.
+            for address in ends:
+                for op in _OPS:
+                    simple, trace = _known_address_states(op, address)
+                    assert simple["trap"][0] == "memory-fault"
+                    assert trace != simple
         # Undoing the sabotage restores identical state.
         for address in ends:
             for op in _OPS:
                 assert_engines_identical(_probe_states(op, address, 3, 1))
+                simple, trace = _known_address_states(op, address)
+                assert trace == simple
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1066,117 @@ class TestFrameGuardEdges:
         assert engine.traces[inner][1] is not None
 
 
+def _recursion_source(top: int, depth: int) -> str:
+    """``rec(depth)`` called with ``r1 = top``: O0-shaped frames of 16
+    bytes, whose prologue writes the frame base (``ori r30, r1, 0``)
+    before the first access through it, ``stw r3, -16(r30)``.
+
+    The trace that forms at ``rec`` after ``TRACE_HOT`` calls therefore
+    has a late frame guard, at that store.  Level ``i`` has ``r30 = top
+    - 16 i``, so the deepest level's frame starts at ``top - 16 depth -
+    16``, and its first access writes that word.
+    """
+    return "\n".join([
+        f"addis r1, r0, {top >> 16}",
+        f"ori r1, r1, {top & 0xFFFF}",
+        f"addi r3, r0, {depth}",
+        "bl rec",
+        "sc 0",
+        "rec:",
+        "mflr r13",
+        "stw r13, -4(r1)",
+        "stw r30, -8(r1)",
+        "ori r30, r1, 0",
+        "addi r1, r1, -16",
+        "stw r3, -16(r30)",
+        "lwz r14, -16(r30)",
+        "cmpi r14, 0",
+        "bc le, base",
+        "addi r14, r14, -1",
+        "stw r14, -12(r30)",
+        "lwz r3, -12(r30)",
+        "bl rec",
+        "lwz r14, -16(r30)",
+        "add r3, r3, r14",
+        "b ret",
+        "base:",
+        "addi r3, r0, 0",
+        "ret:",
+        "lwz r12, -4(r30)",
+        "mtlr r12",
+        "lwz r13, -8(r30)",
+        "ori r1, r30, 0",
+        "ori r30, r13, 0",
+        "blr",
+    ])
+
+
+#: Levels of ``rec`` below the first: the trace at ``rec`` forms after
+#: ``TRACE_HOT`` (32) calls, so the last eight run it.
+_DEPTH = 40
+
+
+def _recursion_states(top: int):
+    """Final state (with the trap's kind, pc, core and address) per
+    engine, and the trace engine's machine and ``rec``."""
+    from repro.isa import assemble_text
+    from repro.machine import Executable
+
+    program = assemble_text(_recursion_source(top, _DEPTH), base=0x1000)
+    executable = Executable(code=program.code, entry=0x1000,
+                            symbols=program.symbols)
+    states = []
+    for engine in ENGINES:
+        machine = boot(executable, engine=engine)
+        result = machine.run(max_instructions=100_000)
+        state = final_state(machine, result)
+        trap = result.trap
+        if trap is not None:
+            state["trap_at"] = (trap.kind, trap.pc, trap.core_id, trap.address)
+        states.append(state)
+    return states, machine, executable.symbols["rec"]
+
+
+def _recursion_tops() -> tuple[int, int]:
+    """The ``top`` that puts the deepest frame's first word on the first
+    word of the stack, and the one that puts it one word below."""
+    start = boot(_probe_executable("lwz", 0, 3)).access_ranges()[1][0][0]
+    inside = start + 16 * _DEPTH + 16
+    return inside, inside - 4
+
+
+@pytest.mark.usefixtures("fresh_factory_cache")
+class TestLateFrameGuardEdges:
+    """A function-entry trace guards its frame at its first frame access,
+    past the prologue that writes the base.  A callee frame on the first
+    word of the stack passes that late guard; one word lower, the guard
+    side-exits with the prologue retired, and block dispatch traps
+    exactly as ``simple`` does.  (One core: multi-core machines form no
+    traces.)"""
+
+    def test_a_frame_on_the_lowest_stack_word(self):
+        inside, _outside = _recursion_tops()
+        states, machine, rec = _recursion_states(inside)
+        assert states[0]["status"] == "exited"
+        assert_engines_identical(states)
+        engine = machine.block_engine
+        assert engine.late_frames == 1
+        assert engine.trace_bailouts == 0
+        assert engine.traces[rec][1] is not None
+
+    def test_a_frame_one_word_below_the_stack(self):
+        _inside, outside = _recursion_tops()
+        states, machine, rec = _recursion_states(outside)
+        kind, pc, core_id, address = states[0]["trap_at"]
+        assert kind == "memory-fault"
+        assert address == outside - 16 * _DEPTH - 16
+        assert_engines_identical(states)
+        engine = machine.block_engine
+        assert engine.late_frames == 1
+        assert engine.trace_bailouts == 1
+        assert engine.traces[rec][1] is None
+
+
 ALIAS_SOURCE = """
 void main() {
     int x; int s; int i; int *p;
@@ -1050,6 +1233,20 @@ def _short_upper_bound(patch):
     patch.setattr(blocks._TraceEmitter, "emit_frame_guard", sabotaged)
 
 
+def _early_guard(patch):
+    """Sabotage: a base the trace writes before its first frame access
+    is guarded at entry, where it still holds the caller's value."""
+    analyze = blocks._analyze_frame
+
+    def sabotaged(steps, looping):
+        frame, aliased = analyze(steps, looping)
+        if frame is not None:
+            frame = frame[:5] + (None,)
+        return frame, aliased
+
+    patch.setattr(blocks, "_analyze_frame", sabotaged)
+
+
 class TestFrameSlotSabotage:
     """Each sabotage of the frame slots shows, and undoing it restores
     identical state."""
@@ -1078,3 +1275,168 @@ class TestFrameSlotSabotage:
         assert simple["trap_at"][0] == "memory-fault"
         assert trace != simple
         assert_engines_identical(states())
+
+    def test_a_guard_left_at_entry_is_caught(self):
+        _inside, outside = _recursion_tops()
+
+        def states():
+            return _recursion_states(outside)[0]
+
+        simple, trace = self._sabotaged(_early_guard, states)
+        assert simple["trap_at"][0] == "memory-fault"
+        assert trace != simple
+        assert_engines_identical(states())
+
+
+# ---------------------------------------------------------------------------
+# Fused compare and branch in traces
+# ---------------------------------------------------------------------------
+
+_COND_TESTS = {
+    "lt": lambda cr: cr < 0, "le": lambda cr: cr <= 0,
+    "eq": lambda cr: cr == 0, "ge": lambda cr: cr >= 0,
+    "gt": lambda cr: cr > 0, "ne": lambda cr: cr != 0,
+}
+
+#: The right-hand operands of each compare: an immediate, or ``r21``.
+_FUSED_B = {"cmpi": (-3,), "cmpli": (0xFFFF,), "cmp": (0x7FFFFFFF, 0x80000000)}
+
+
+def _taken(kind: str, cond: str, a: int, b: int) -> bool:
+    """Whether ``bc cond`` after ``kind a, b`` branches."""
+    def view(x):
+        x &= 0xFFFFFFFF
+        return x - (1 << 32) if kind != "cmpli" and x & 0x80000000 else x
+
+    x, y = view(a), view(b)
+    return _COND_TESTS[cond](-1 if x < y else (1 if x > y else 0))
+
+
+def _li32(reg: int, value: int) -> list[str]:
+    value &= 0xFFFFFFFF
+    return [f"addis r{reg}, r0, {(value >> 16) - (0x10000 if value >> 31 else 0)}",
+            f"ori r{reg}, r{reg}, {value & 0xFFFF}"]
+
+
+def _fused_source(kind, b, cond, layout, guard, term, load) -> str:
+    """A hot loop whose guard and loop terminal are ``kind`` (right
+    operand *b*) then ``bc cond``.
+
+    Each of *guard* (the guard's left operand), *term* (the terminal's)
+    and *load* (the address of the load right after the guard) is a pair
+    ``(before, after)``: the first 39 iterations see ``before`` and
+    later ones ``after`` (the terminal's operand: the first 49).  With *layout*
+    ``taken`` the terminal is ``bc cond, loop``; with ``fall`` it is
+    ``bc cond, out``, whose fall-through is the loop head.
+    """
+    rhs = "r21" if kind == "cmp" else str(b)
+    lines = []
+    for reg, (before, after) in ((14, guard), (25, term), (17, load)):
+        lines += _li32(reg, before ^ after) + _li32(reg + 1, after)
+    lines += _li32(21, b) + [
+        "addi r11, r0, 40",
+        "addi r23, r0, 50",
+    ]
+    if layout == "fall":
+        lines += ["b loop", "term:", f"{kind} r22, {rhs}", f"bc {cond}, out"]
+    lines += [
+        "loop:",
+        "addi r11, r11, -1",
+        "neg r13, r11",
+        "srawi r13, r13, 31",     # -1 for the first 39 iterations, then 0
+        "addi r23, r23, -1",
+        "neg r24, r23",
+        "srawi r24, r24, 31",     # -1 for the first 49 iterations, then 0
+        "and r16, r13, r14",
+        "xor r20, r16, r15",      # guard operand
+        "and r16, r13, r17",
+        "xor r12, r16, r18",      # load address
+        "and r16, r24, r25",
+        "xor r22, r16, r26",      # terminal operand
+        f"{kind} r20, {rhs}",
+        f"bc {cond}, taken",
+        "lwz r10, 0(r12)",
+        "b join",
+        "taken:",
+        "lwz r10, 0(r12)",
+        "join:",
+        "addi r3, r3, 1",
+    ]
+    if layout == "fall":
+        lines += ["b term", "out:"]
+    else:
+        lines += [f"{kind} r22, {rhs}", f"bc {cond}, loop"]
+    lines.append("sc 0")
+    return "\n".join(lines)
+
+
+def _fused_operands(b: int) -> list[int]:
+    """Left operands: equal to the right one *b*, and on both sides of
+    0x7FFFFFFF/0x80000000."""
+    return sorted({b & 0xFFFFFFFF, 0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF})
+
+
+@pytest.mark.usefixtures("fresh_factory_cache")
+class TestFusedCompare:
+    """A trace branches on the operands of a compare right before a
+    guard or a loop terminal and sets ``cr`` on each path: it must match
+    ``simple`` on full state, ``cr`` included, whichever way it leaves
+    the loop — through the guard's side exit, through the loop terminal,
+    or through a trap in the load right after the guard."""
+
+    def _check(self, source, loop):
+        from repro.isa import assemble_text
+        from repro.machine import Executable
+
+        program = assemble_text(source, base=0x1000)
+        executable = Executable(code=program.code, entry=0x1000,
+                                symbols=program.symbols)
+        states = []
+        for engine in ENGINES:
+            machine = boot(executable, engine=engine)
+            result = machine.run(max_instructions=100_000)
+            state = final_state(machine, result)
+            if result.trap is not None:
+                trap = result.trap
+                state["trap_at"] = (trap.kind, trap.pc, trap.core_id,
+                                    trap.address)
+            states.append(state)
+        assert_engines_identical(states)
+        # The loop ran as a trace.
+        assert machine.block_engine.traces[program.symbols[loop]][1] is not None
+        return states[0]
+
+    @pytest.mark.parametrize("layout", ["taken", "fall"])
+    @pytest.mark.parametrize("cond", sorted(_COND_TESTS))
+    @pytest.mark.parametrize("kind", sorted(_FUSED_B))
+    def test_every_exit_matches_simple(self, kind, cond, layout):
+        stack = boot(_probe_executable("lwz", 0, 3)).access_ranges()[1][0][0]
+        good, bad = stack + 64, 0x0038_0000  # a stack word, a gap
+        outcomes = set()
+        for b in _FUSED_B[kind]:
+            operands = _fused_operands(b)
+            stays = [a for a in operands
+                     if _taken(kind, cond, a, b) == (layout == "taken")]
+            leaves = [a for a in operands if a not in stays]
+            if not stays or not leaves:
+                continue  # e.g. nothing is less than 0x80000000
+
+            def check(guard, term, load):
+                source = _fused_source(kind, b, cond, layout, guard, term, load)
+                state = self._check(source, "loop")
+                outcomes.add(state.get("trap_at", ("exited",))[0])
+
+            for before in operands:
+                for after in operands:
+                    if _taken(kind, cond, before, b) != _taken(kind, cond, after, b):
+                        # The guard flips at iteration 40: side exits
+                        # until the terminal leaves, at iteration 50.
+                        check((before, after), (stays[0], leaves[0]), (good, good))
+                # The load right after the guard traps at iteration 40.
+                check((before, before), (stays[0], leaves[0]), (good, bad))
+            # The guard holds, and the terminal leaves, from each value
+            # that stays to each that leaves.
+            for stay in stays:
+                for leave in leaves:
+                    check((operands[0], operands[0]), (stay, leave), (good, good))
+        assert outcomes == {"exited", "memory-fault"}

@@ -326,11 +326,28 @@ def _range_executable(words):
     return Executable(code=code, entry=0x1000, data=bytes(range(1, 21)))
 
 
+#: Known divisors: a block closure drops the zero test and ``abs`` for
+#: every one but 0.
+_RANGE_DIVISORS = st.sampled_from([-(1 << 31), -8, -1, 0, 1, 7, 8])
+
+
 @st.composite
 def _range_items(draw, edges):
-    """One straight-line step: an ALU word, or a load or store at a
-    segment edge (the base is set right before the access)."""
-    if draw(st.integers(0, 3)) == 0:
+    """One straight-line step: an ALU word, a load or store at a segment
+    edge (the base is set right before the access), or a ``divw`` or
+    ``modw`` by a register set right before it to a constant."""
+    roll = draw(st.integers(0, 7))
+    if roll == 7:
+        divisor = draw(st.sampled_from([3, 4, 5, 6]))
+        value = draw(_RANGE_DIVISORS) & 0xFFFFFFFF
+        high = value >> 16
+        return [
+            ins.addis(divisor, 0, high - 0x10000 if high >= 0x8000 else high),
+            ins.ori(divisor, divisor, value & 0xFFFF),
+            Instruction(draw(st.sampled_from(["divw", "modw"])),
+                        rd=draw(_RANGE_REGS), ra=draw(_RANGE_REGS), rb=divisor),
+        ]
+    if roll < 2:
         op = draw(st.sampled_from(["lwz", "stw", "lbz", "stb"]))
         base = draw(st.sampled_from([3, 4, 5, 6]))
         address = (draw(st.sampled_from(edges))
@@ -399,7 +416,9 @@ def _range_state(machine, core, trap):
 class TestRangeClosureProperties:
     """``run(core, regs, j, n)`` of a block's range closure against the
     interpreter running ``n - j`` instructions from ``h + 4j``, for every
-    ``0 <= j < n <= count``."""
+    ``0 <= j < n <= count``; and the whole-block closure, which folds
+    what the block sets from constants (known addresses and divisors),
+    against the interpreter running the block."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -420,17 +439,34 @@ class TestRangeClosureProperties:
             core.cr, core.lr = cr, lr
             return machine, core
 
+        def interpreted(j, n):
+            machine, core = fresh("simple")
+            assert blocks._scan(machine.decode_cache, 0) == count
+            core.pc = head + 4 * j
+            trap = None
+            try:
+                core._run_quantum_simple(n - j)
+            except Trap as error:
+                trap = error
+            return _range_state(machine, core, trap)
+
+        machine, core = fresh("trace")
+        run = machine.block_engine._instantiate(
+            blocks._factory_for(tuple(words_)), head)
+        core.pc = head
+        trap = None
+        try:
+            core.pc = run(core, core.regs)
+            # What the dispatcher adds for a block that returns.
+            core.instret += count
+            machine.instret += count
+        except Trap as error:
+            trap = error
+        assert _range_state(machine, core, trap) == interpreted(0, count)
+
         for j in range(count):
             for n in range(j + 1, count + 1):
-                machine, core = fresh("simple")
-                assert blocks._scan(machine.decode_cache, 0) == count
-                core.pc = head + 4 * j
-                trap = None
-                try:
-                    core._run_quantum_simple(n - j)
-                except Trap as error:
-                    trap = error
-                expected = _range_state(machine, core, trap)
+                expected = interpreted(j, n)
 
                 machine, core = fresh("trace")
                 run = machine.block_engine._instantiate(factory, head)
