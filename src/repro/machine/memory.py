@@ -51,6 +51,11 @@ class Memory:
     """Byte-addressable memory with segment protection.
 
     Words are big-endian (matching the PowerPC ancestry of the ISA).
+
+    State lives only in pages something wrote: the debug port and
+    snapshot restores, which the memory records, and program stores,
+    which reach writable segments only (anywhere else they trap).
+    :meth:`nonzero_pages` reads just those pages.
     """
 
     def __init__(self, size: int) -> None:
@@ -70,6 +75,10 @@ class Memory:
         # MemoryWord corruption aimed at a gap), so segment-derived page
         # sets alone cannot tell a restore which pages to reset.
         self._debug_dirty_pages: set[int] = set()
+        # Every page written other than by a program store (the debug
+        # port and snapshot restores), for the mapping's lifetime; see
+        # nonzero_pages.
+        self._port_pages: set[int] = set()
 
     # -- segment management -------------------------------------------------
 
@@ -150,9 +159,9 @@ class Memory:
         if address < 0 or address + len(payload) > self.size:
             raise ValueError(f"debug write outside physical memory: {address:#x}")
         if payload:
-            self._debug_dirty_pages.update(
-                range(address // PAGE_SIZE, (address + len(payload) - 1) // PAGE_SIZE + 1)
-            )
+            pages = range(address // PAGE_SIZE, (address + len(payload) - 1) // PAGE_SIZE + 1)
+            self._debug_dirty_pages.update(pages)
+            self._port_pages.update(pages)
         self.data[address : address + len(payload)] = payload
 
     def debug_read_word(self, address: int) -> int:
@@ -163,11 +172,11 @@ class Memory:
 
     # -- snapshot support (page granularity) ---------------------------------
 
-    def segment_pages(self) -> list[int]:
-        """Page numbers overlapping any segment, ascending."""
+    def segment_pages(self, writable: bool = False) -> list[int]:
+        """Page numbers overlapping any segment (any writable one), ascending."""
         pages: set[int] = set()
         for segment in self.segments:
-            if segment.size:
+            if segment.size and (segment.writable or not writable):
                 pages.update(
                     range(segment.start // PAGE_SIZE, (segment.end - 1) // PAGE_SIZE + 1)
                 )
@@ -182,25 +191,44 @@ class Memory:
             out[page] = data[start : start + PAGE_SIZE]
         return out
 
-    def nonzero_pages(self) -> Iterator[tuple[int, bytes]]:
-        """(page number, bytes) of every page holding a non-zero byte, ascending."""
+    def nonzero_pages(self, executed: bool = True) -> Iterator[tuple[int, bytes]]:
+        """(page number, bytes) of every page holding a non-zero byte, ascending.
+
+        The mapping reads as zeros until written, and only two kinds of
+        page can have been written: one the debug port (the loader,
+        ``install_code``, injector actions) or a snapshot restore wrote,
+        which ``_port_pages`` records for the mapping's lifetime, and,
+        once the machine has retired an instruction (*executed*), one of
+        a writable segment, since a program store anywhere else traps.
+        Only those pages are sliced: on a freshly booted machine the 2-3
+        its loader wrote, where slicing all 80 would fault in every
+        never-written one.  ``executed=False`` is for a machine that has
+        retired no instruction; the default holds for any machine.
+        """
+        pages = self._port_pages
+        if executed:
+            pages = pages.union(self.segment_pages(writable=True))
         data = self.data
-        for start in range(0, self.size, PAGE_SIZE):
+        for page in sorted(pages):
+            start = page * PAGE_SIZE
             chunk = data[start : start + PAGE_SIZE]
             if chunk != ZERO_PAGE[: len(chunk)]:  # a full-length slice is no copy
-                yield start // PAGE_SIZE, chunk
+                yield page, chunk
 
     def restore_pages(self, pages: dict[int, bytes]) -> int:
         """Write back captured pages, skipping those already identical.
 
         The compare-before-copy is what makes restore copy-on-write in
         practice: a run that dirtied two pages costs two page copies, not
-        a full image copy.  Returns the number of pages rewritten.
+        a full image copy.  Returns the number of pages rewritten.  Every
+        given page joins the port-written pages :meth:`nonzero_pages`
+        reads, rewritten or not: the restore sets its content either way.
         """
         # NB: slice the mapping rather than a memoryview — memoryview's
         # rich-compare walks element-by-element (~25x slower than the
         # memcmp path a bytes/bytearray compare takes).
         data = self.data
+        self._port_pages.update(pages)
         rewritten = 0
         for page, image in pages.items():
             start = page * PAGE_SIZE

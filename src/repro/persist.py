@@ -85,9 +85,15 @@ def read_jsonl(path: str | os.PathLike) -> list[dict]:
     path = os.fspath(path)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
+            text = handle.read()
     except FileNotFoundError:
         return []
+    return parse_jsonl(text, path)
+
+
+def parse_jsonl(text: str, path: str) -> list[dict]:
+    """The entries of *text*, read from *path*, as :func:`read_jsonl` takes them."""
+    lines = text.split("\n")
     lines.pop()  # "" after a final newline, else the crash-torn fragment
     entries: list[dict] = []
     for number, line in enumerate(lines, 1):

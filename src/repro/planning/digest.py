@@ -120,12 +120,21 @@ def state_fingerprint(machine) -> str:
     machine hashes only the few pages it wrote.  Memo keys derive from
     this encoding: a memo directory written under an earlier one simply
     misses, and its runs execute again.
+
+    Only pages that can hold a non-zero byte are read
+    (:meth:`~repro.machine.memory.Memory.nonzero_pages`): those the
+    debug port or a restore wrote and, once the machine has retired an
+    instruction, those of its writable segments.  A fresh boot has
+    retired none, so its fingerprint reads just the pages the loader
+    wrote.  ``machine.instret`` counts what an engine retired once
+    control is back from ``Machine.run``, so fingerprint between runs,
+    not from a debug hook.
     """
     hasher = hashlib.sha256()
     _hash_cores(hasher, machine)
     memory = machine.memory
     hasher.update(b"#memory:%d" % memory.size)
-    for page, image in memory.nonzero_pages():
+    for page, image in memory.nonzero_pages(machine.instret > 0):
         hasher.update(b"@%d:" % (page * PAGE_SIZE))
         hasher.update(image)
     hasher.update(b"#heap:")
@@ -148,20 +157,24 @@ def behavior_fingerprint(spec: MachineFault) -> str:
 
 
 def memo_key(case_fingerprint: str, expected: bytes, spec: MachineFault, *,
-             budget: int, quantum: int, num_cores: int) -> str:
+             budget: int, quantum: int, num_cores: int,
+             behavior: str | None = None) -> str:
     """The outcome-memo key for one (case, fault, execution-config) run.
 
     Every engine produces the same record, so an entry written by a run
     on any engine serves a run on any other.  The key names the
     reference engine, ``simple``, so memo dirs filled by interpreter
-    campaigns stay valid.
+    campaigns stay valid.  *behavior*, when given, is
+    ``behavior_fingerprint(spec)`` computed once by the caller.
     """
+    if behavior is None:
+        behavior = behavior_fingerprint(spec)
     hasher = hashlib.sha256()
     hasher.update(case_fingerprint.encode())
     hasher.update(b"|expected:")
     hasher.update(hashlib.sha256(expected).digest())
     hasher.update(b"|behavior:")
-    hasher.update(behavior_fingerprint(spec).encode())
+    hasher.update(behavior.encode())
     hasher.update(
         b"|budget=%d|quantum=%d|cores=%d|engine=" % (budget, quantum, num_cores)
     )

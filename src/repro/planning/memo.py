@@ -16,18 +16,21 @@ one cached outcome while keeping their own identities.
 
 Persistence is append-only JSONL, one file per writer process
 (``memo-<pid>.jsonl``) so concurrent shard workers never interleave
-writes.  Loading reads every ``*.jsonl`` in the directory through
-:func:`repro.persist.read_jsonl`, which drops a torn final line, so kill
-+ resume is safe: a campaign resumed over a warm memo directory replays
-every previously executed outcome.
+writes.  Loading parses every ``*.jsonl`` in the directory as
+:func:`repro.persist.read_jsonl` does, dropping a torn final line, so
+kill + resume is safe: a campaign resumed over a warm memo directory
+replays every previously executed outcome.  The class campaigns of one
+run open the same directory one after another, so each file is parsed
+once per process and content (:func:`_read_memo_dir`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 
-from ..persist import JsonlAppender, read_jsonl
+from ..persist import JsonlAppender, parse_jsonl
 from ..swifi.campaign import InputCase, RunRecord
 from ..swifi.faults import MachineFault
 from ..swifi.outcomes import FailureMode
@@ -37,6 +40,34 @@ OUTCOME_FIELDS = (
     "mode", "status", "exit_code", "trap_kind",
     "activations", "injections", "instructions",
 )
+
+
+#: The parsed entries of every file of the memo directory this process
+#: read last, keyed by the SHA-256 of the file's content.
+_parsed: dict[bytes, list[dict]] = {}
+
+
+def _read_memo_dir(directory: Path) -> list[list[dict]]:
+    """The entries of every ``*.jsonl`` in *directory*, one list per content.
+
+    Each file is read every time but parsed only if the directory this
+    process read last held the same content.  Only the files just read
+    stay cached, so a process that opens another directory (a ``repro
+    work`` worker leasing another campaign's shard) drops the previous
+    one's.
+    """
+    global _parsed
+    kept: dict[bytes, list[dict]] = {}
+    for path in sorted(directory.glob("*.jsonl")):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            continue
+        digest = hashlib.sha256(text.encode()).digest()
+        entries = _parsed.get(digest)
+        kept[digest] = parse_jsonl(text, str(path)) if entries is None else entries
+    _parsed = kept
+    return list(kept.values())
 
 
 def outcome_from_record(record: RunRecord) -> dict:
@@ -84,8 +115,8 @@ class OutcomeCache:
 
     def _load(self) -> int:
         loaded = 0
-        for path in sorted(self._dir.glob("*.jsonl")):
-            for entry in read_jsonl(path):
+        for entries in _read_memo_dir(self._dir):
+            for entry in entries:
                 key = entry["key"]
                 if key not in self._outcomes:
                     loaded += 1

@@ -46,7 +46,7 @@ from ..swifi.campaign import (
     RunRecord,
 )
 from ..swifi.faults import MachineFault
-from .digest import memo_key, state_fingerprint
+from .digest import behavior_fingerprint, memo_key, state_fingerprint
 from .memo import OutcomeCache, outcome_from_record, record_from_outcome
 from .prover import classify_fault, synthesize_record, trace_requirements
 from .replay import GoldenAccessTrace
@@ -93,6 +93,9 @@ class PlannerCache:
         )
         self._traces: dict[str, GoldenAccessTrace] = {}
         self._case_fps: dict[str, str] = {}
+        # id(spec) -> (spec, behaviour fingerprint); holding the spec
+        # keeps its id from being reused while the entry lives.
+        self._behaviors: dict[int, tuple[MachineFault, str]] = {}
         self.memo = OutcomeCache(memo_dir) if memoize else None
         self.stats = {"pruned": 0, "memoized": 0, "verified": 0}
         self.prune_rules: Counter = Counter()
@@ -132,9 +135,13 @@ class PlannerCache:
         return fingerprint
 
     def _memo_key(self, spec: MachineFault, case: InputCase, budget: int) -> str:
+        entry = self._behaviors.get(id(spec))
+        if entry is None:
+            entry = self._behaviors[id(spec)] = (spec, behavior_fingerprint(spec))
         return memo_key(
             self._fingerprint_for(case), case.expected, spec,
             budget=budget, quantum=self.quantum, num_cores=self.num_cores,
+            behavior=entry[1],
         )
 
     # -- the planning fast path -----------------------------------------

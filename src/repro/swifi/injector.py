@@ -164,7 +164,15 @@ class CycleProbe:
         return (taken[1] - before[1], taken[3] - before[3], taken[2] - before[2])
 
     def _state(self) -> tuple:
-        """Everything the run's future depends on, bar the counters."""
+        """Everything the run's future depends on, bar the counters.
+
+        Memory enters as its non-zero pages among those that can hold
+        one: the pages the debug port or a restore wrote and the pages
+        of the writable segments (22 of 80 for a §6 program on one
+        core), since a program store anywhere else traps.  The run has
+        retired instructions by now, so the writable segments count
+        whether or not the loader wrote them.
+        """
         machine = self.machine
         core = self.core
         memory = machine.memory

@@ -18,7 +18,7 @@ from repro.experiments import ExperimentConfig
 from repro.experiments.campaign6 import iter_section6_campaigns
 from repro.isa.encoding import NOP_WORD
 from repro.lang import compile_source
-from repro.machine import ENGINE_SIMPLE, ENGINES, boot
+from repro.machine import ENGINE_SIMPLE, ENGINES, Memory, boot
 from repro.observability import trace as _trace
 from repro.observability.report import build_trace_report, render_trace_report
 from repro.planning.digest import machine_digest
@@ -85,6 +85,42 @@ void main() {
         g = g + 1;
         x = 3;
     }
+}
+"""
+
+# Registers, lr, cr and the live stack repeat at ``y = 4`` while ``g``
+# counts: a global one page past the loader-written start of the data
+# segment, then a heap word.  The loop exits before the budget.
+DATA_COUNTER = """
+int pad[16384];
+int g;
+void main() {
+    int x;
+    int y;
+    while (g < 3000) {
+        g = g + 1;
+        x = 3;
+        y = 4;
+    }
+    print_int(g);
+    exit(0);
+}
+"""
+
+HEAP_COUNTER = """
+void main() {
+    int *g;
+    int x;
+    int y;
+    g = malloc(16);
+    *g = 0;
+    while (*g < 3000) {
+        *g = *g + 1;
+        x = 3;
+        y = 4;
+    }
+    print_int(*g);
+    exit(0);
 }
 """
 
@@ -311,6 +347,65 @@ class TestStatesThatNeverRepeat:
         windows = math.floor(math.log2(reference.activations)) + 1
         # Each failed attempt captures the state twice.
         assert 0 < len(state_captures) <= 2 * windows
+
+
+def _counter(source):
+    """*source* compiled, and a no-op fault on the store of ``y = 4``."""
+    compiled = _compiled(source, "counter")
+    (site,) = [site for site in compiled.debug.assignments if site.target == "y"]
+    return compiled, MachineFault(
+        "noop", OpcodeFetch(site.address), (Action(StoreValue(), Arithmetic(0)),),
+    )
+
+
+def _blind_to_writable_segments(patch):
+    """Sabotage: the probe's full state skips the writable segments' pages."""
+    original = Memory.nonzero_pages
+
+    def nonzero_pages(self, executed=True):
+        writable = set(self.segment_pages(writable=True))
+        return ((page, image) for page, image in original(self, executed)
+                if page not in writable)
+
+    patch.setattr(Memory, "nonzero_pages", nonzero_pages)
+
+
+def _port_written_only(patch):
+    """Sabotage: the probe's full state reads only port-written pages."""
+    original = Memory.nonzero_pages
+    patch.setattr(Memory, "nonzero_pages",
+                  lambda self, executed=True: original(self, False))
+
+
+class TestStateInWritableSegments:
+    """A cheap key that repeats while a global or a heap word counts:
+    only memory in the confirming comparison tells the loop from a
+    cycle, and ending it at a "cycle" would turn an exit into a hang."""
+
+    @pytest.mark.parametrize("source", [DATA_COUNTER, HEAP_COUNTER],
+                             ids=["data", "heap"])
+    def test_a_counting_word_is_no_cycle(self, source, state_captures):
+        compiled, spec = _counter(source)
+        reference, sessions = _against_simple(compiled, spec)
+        assert reference.status == "exited" and reference.exit_code == 0
+        assert all(session.cycle is None for session in sessions.values())
+        assert state_captures  # the key repeated and the state was compared
+
+    @pytest.mark.parametrize("sabotage, source", [
+        (_blind_to_writable_segments, DATA_COUNTER),
+        (_blind_to_writable_segments, HEAP_COUNTER),
+        (_port_written_only, HEAP_COUNTER),
+    ], ids=["blind-data", "blind-heap", "port-only-heap"])
+    def test_a_state_without_the_counting_word_is_caught(self, sabotage, source):
+        compiled, spec = _counter(source)
+        reference, _ = _run(compiled, spec, "simple")
+        with pytest.MonkeyPatch.context() as patch:
+            sabotage(patch)
+            digest, session = _run(compiled, spec, "trace")
+            with pytest.raises(AssertionError):
+                _against_simple(compiled, spec)
+        assert session.cycle is not None
+        assert (digest.status, reference.status) == ("hung", "exited")
 
 
 class TestDeclines:

@@ -1,11 +1,14 @@
 """Unit tests for segmented memory and its protection model."""
 
 import multiprocessing
+import resource
 
 import pytest
 
 from repro.lang import compile_source
 from repro.machine import HEAP_BASE, PAGE_SIZE, AlignmentTrap, Memory, MemoryTrap, boot
+from repro.planning import state_fingerprint
+from repro.workloads.registry import get_workload
 
 
 @pytest.fixture
@@ -171,6 +174,32 @@ class TestLazyMapping:
         mem.debug_write(PAGE_SIZE + 15, b"z")
         ((page, image),) = mem.nonzero_pages()
         assert page == 1 and image == bytes(15) + b"z"
+
+    def test_nonzero_pages_reads_port_written_and_writable_pages(self):
+        mem = Memory(8 * PAGE_SIZE)
+        mem.add_segment("data", 2 * PAGE_SIZE, PAGE_SIZE, writable=True)
+        mem.write_word(2 * PAGE_SIZE + 8, 5)  # a program store
+        assert list(mem.nonzero_pages(executed=False)) == []
+        assert [page for page, _ in mem.nonzero_pages()] == [2]
+        mem.restore_pages({5: bytes(PAGE_SIZE - 1) + b"\x01", 6: bytes(PAGE_SIZE)})
+        mem.debug_write(7 * PAGE_SIZE, b"\x02")
+        assert [page for page, _ in mem.nonzero_pages(executed=False)] == [5, 7]
+        assert sorted(mem._port_pages) == [5, 6, 7]
+
+    def test_fresh_boot_fingerprint_faults_in_few_pages(self):
+        # A fresh boot's fingerprint slices only the pages its loader
+        # wrote.  Slicing all 80 pages of the address space faulted in
+        # about 1,278 zero pages per fingerprint; now about 30 remain.
+        workload = get_workload("JB.team6")
+        (case,) = workload.make_cases(1, 2000)
+        executable = workload.compiled().executable
+        state_fingerprint(boot(executable, inputs=dict(case.pokes)))  # warm-up
+        for _ in range(3):
+            machine = boot(executable, inputs=dict(case.pokes))
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            state_fingerprint(machine)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            assert faults < 200
 
     def test_fork_child_writes_stay_private(self):
         compiled = compile_source(

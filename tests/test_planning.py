@@ -15,7 +15,7 @@ import pytest
 
 from repro.isa import NOP_WORD, decode
 from repro.lang import compile_source
-from repro.machine import HEAP_BASE, PAGE_SIZE, STACK_REGION, STACK_SIZE, boot
+from repro.machine import HEAP_BASE, PAGE_SIZE, STACK_REGION, STACK_SIZE, Memory, boot
 from repro.planning import (
     CampaignPlan,
     GoldenAccessTrace,
@@ -23,6 +23,7 @@ from repro.planning import (
     PlannerCache,
     PlanningDivergence,
     classify_fault,
+    memo_key,
     outcome_from_record,
     plan_from_records,
     record_from_outcome,
@@ -31,6 +32,7 @@ from repro.planning import (
     trace_requirements,
 )
 from repro.planning import digest as _digest
+from repro.planning import memo as _memo
 from repro.planning import planner as _planner
 from repro.planning.prover import (
     RULE_BRANCH_EQUIV,
@@ -59,6 +61,7 @@ from repro.swifi import (
     WhenPolicy,
 )
 from repro.swifi.campaign import execute_injection_run
+from repro.workloads.registry import get_workload
 
 # One store to `sink` that is never read again (a provably dead store)
 # and one to `live` that print_int reads back (a provably live one).
@@ -394,6 +397,31 @@ class TestOutcomeMemo:
         assert warm.get("k1") == outcome
         assert warm.get("missing") is None
 
+    def test_each_file_is_parsed_once_per_content(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_memo, "_parsed", {})
+        parsed = []
+        original = _memo.parse_jsonl
+
+        def counting(text, path):
+            parsed.append(path)
+            return original(text, path)
+
+        monkeypatch.setattr(_memo, "parse_jsonl", counting)
+        memo_dir = str(tmp_path / "memo")
+        writer = OutcomeCache(memo_dir)
+        writer.put("k1", {"mode": "one"})
+        writer.close()
+        for _ in range(3):  # one class campaign after another
+            assert OutcomeCache(memo_dir).get("k1") == {"mode": "one"}
+        assert len(parsed) == 1
+        writer = OutcomeCache(memo_dir)
+        writer.put("k2", {"mode": "two"})  # the same file grows
+        writer.close()
+        assert OutcomeCache(memo_dir).get("k2") == {"mode": "two"}
+        assert len(parsed) == 2
+        OutcomeCache(str(tmp_path / "other"))  # another directory
+        assert _memo._parsed == {}
+
     def test_verify_policy_catches_poisoned_memo(self, tmp_path,
                                                  dead_store_program):
         compiled, case = dead_store_program
@@ -480,9 +508,88 @@ def _legacy_state_fingerprint(machine):
     return hasher.hexdigest()
 
 
+def _full_scan_state_fingerprint(machine):
+    """``state_fingerprint``'s encoding over a scan of every page of the
+    address space, as earlier commits read memory: the reference the
+    scan of the pages that can hold state must reproduce byte for byte."""
+    hasher = hashlib.sha256()
+    _digest._hash_cores(hasher, machine)
+    memory = machine.memory
+    hasher.update(b"#memory:%d" % memory.size)
+    for start in range(0, memory.size, PAGE_SIZE):
+        chunk = memory.data[start : start + PAGE_SIZE]
+        if chunk != bytes(len(chunk)):
+            hasher.update(b"@%d:" % start)
+            hasher.update(chunk)
+    hasher.update(b"#heap:")
+    _digest._hash_heap(hasher, machine)
+    hasher.update(b"#console:")
+    hasher.update(bytes(machine.console))
+    return hasher.hexdigest()
+
+
+def _booted(name, **kwargs):
+    workload = get_workload(name)
+    (case,) = workload.make_cases(1, 2000)
+    return boot(workload.compiled().executable, num_cores=workload.num_cores,
+                inputs=dict(case.pokes), **kwargs)
+
+
+def _restored_machines():
+    """Machines whose state a snapshot restore set."""
+    # A mid-run snapshot carrying a gap page only the debug port wrote,
+    # restored onto a fresh boot that never wrote that page itself.
+    donor = _booted("JB.team6")
+    boot_image = donor.baseline()
+    donor.memory.debug_write(PAGE_SIZE * 57 + 5, b"\x07")
+    donor.run(max_instructions=700)
+    snapshot = donor.snapshot(boot_image)
+    assert 57 in snapshot.page_delta
+    onto = _booted("JB.team6")
+    onto.restore(snapshot)
+    # A machine run to its exit, then rewound to its boot state.
+    rewound = _booted("JB.team6")
+    at_boot = rewound.snapshot()
+    assert rewound.run().status == "exited"
+    rewound.restore(at_boot)
+    assert rewound.instret == 0
+    return [("restored-mid-run", onto), ("restored-to-boot", rewound)]
+
+
+@pytest.fixture(scope="module")
+def fingerprinted_machines():
+    """(name, machine) pairs covering every way a page gets written."""
+    machines = [(f"fresh:{name}", _booted(name))
+                for name in ("JB.team6", "C.team1", "SOR")]
+    ran = _booted("JB.team6", engine="trace")
+    assert ran.run().status == "exited"
+    sor = _booted("SOR", engine="trace")
+    assert sor.run(max_instructions=20_000).status == "hung"
+    machines += [("ran:JB.team6", ran), ("ran:SOR", sor)]
+    return machines + _restored_machines()
+
+
+def _fingerprint_mismatches(machines):
+    return [name for name, machine in machines
+            if state_fingerprint(machine) != _full_scan_state_fingerprint(machine)]
+
+
+def _scan_of(pages_of):
+    """A ``Memory.nonzero_pages`` that reads only ``pages_of(memory, executed)``."""
+
+    def nonzero_pages(self, executed=True):
+        for page in sorted(pages_of(self, executed)):
+            chunk = self.data[page * PAGE_SIZE : (page + 1) * PAGE_SIZE]
+            if chunk != bytes(len(chunk)):
+                yield page, chunk
+
+    return nonzero_pages
+
+
 class TestStateFingerprint:
-    """The sparse fingerprint hashes only non-zero pages; every byte of
-    memory must still reach it."""
+    """The sparse fingerprint hashes only non-zero pages, and reads only
+    the pages that can hold one; every byte of memory must still reach
+    it, exactly as a scan of the whole address space would."""
 
     def _boot(self, dead_store_program):
         compiled, case = dead_store_program
@@ -491,6 +598,32 @@ class TestStateFingerprint:
     def test_two_boots_of_one_case_agree(self, dead_store_program):
         assert (state_fingerprint(self._boot(dead_store_program))
                 == state_fingerprint(self._boot(dead_store_program)))
+
+    def test_every_machine_matches_a_full_scan(self, fingerprinted_machines):
+        assert len(fingerprinted_machines) == 7
+        assert _fingerprint_mismatches(fingerprinted_machines) == []
+
+    def test_a_fresh_boot_reads_only_what_the_loader_wrote(self):
+        machine = _booted("JB.team6")
+        read = [page for page, _image in machine.memory.nonzero_pages(False)]
+        assert read == sorted(machine.memory._port_pages) == [0, 16]
+
+    def test_a_scan_without_port_written_pages_is_caught(
+        self, monkeypatch, fingerprinted_machines
+    ):
+        monkeypatch.setattr(Memory, "nonzero_pages", _scan_of(
+            lambda memory, executed:
+                memory.segment_pages(writable=True) if executed else ()))
+        mismatched = _fingerprint_mismatches(fingerprinted_machines)
+        assert {"fresh:JB.team6", "fresh:C.team1", "fresh:SOR"} <= set(mismatched)
+
+    def test_a_scan_that_takes_an_executed_machine_for_fresh_is_caught(
+        self, monkeypatch, fingerprinted_machines
+    ):
+        monkeypatch.setattr(Memory, "nonzero_pages", _scan_of(
+            lambda memory, executed: memory._port_pages))
+        mismatched = _fingerprint_mismatches(fingerprinted_machines)
+        assert {"ran:JB.team6", "ran:SOR"} <= set(mismatched)
 
     @pytest.mark.parametrize("address", [
         0,                             # page 0, below the code segment
@@ -504,8 +637,46 @@ class TestStateFingerprint:
         (old,) = machine.memory.debug_read(address, 1)
         machine.memory.debug_write(address, bytes([old ^ 0x01]))
         assert state_fingerprint(machine) != before
+        assert state_fingerprint(machine) == _full_scan_state_fingerprint(machine)
         machine.memory.debug_write(address, bytes([old]))
         assert state_fingerprint(machine) == before  # content-defined
+
+    def test_campaign_memo_keys_match_the_reference(self, monkeypatch,
+                                                    words_program):
+        # Every key a memoizing campaign builds (lookups, puts, and the
+        # hits of faults that share a behaviour) equals one built from the
+        # full-scan fingerprint of a fresh boot and a behaviour
+        # fingerprint computed afresh for the spec.
+        compiled, cases = words_program
+        faults = [
+            _spec(f"f{index}+{delta}-{copy}", OpcodeFetch(site.address),
+                  Action(StoreValue(), Arithmetic(delta)))
+            for index, site in enumerate(compiled.debug.assignments[:2])
+            for delta in (1, 5) for copy in (0, 1)  # copies share behaviour
+        ]
+        keys = []
+        original = PlannerCache._memo_key
+
+        def spy(self, spec, case, budget):
+            key = original(self, spec, case, budget)
+            keys.append((spec, case, budget, key))
+            return key
+
+        monkeypatch.setattr(PlannerCache, "_memo_key", spy)
+        runner = CampaignRunner(compiled, list(cases))
+        config = CampaignConfig(seed=1, memoize=True)
+        plan = plan_from_records(runner.run(faults, config=config).records)
+        assert (plan.executed, plan.memoized) == (8, 8)  # copies hit their twin
+        assert len(keys) == 2 * plan.executed + plan.memoized  # lookup (+ put)
+        reference = {}
+        for spec, case, budget, key in keys:
+            if case.case_id not in reference:
+                reference[case.case_id] = _full_scan_state_fingerprint(
+                    boot(compiled.executable, inputs=dict(case.pokes)))
+            assert key == memo_key(
+                reference[case.case_id], case.expected, spec,
+                budget=budget, quantum=runner.quantum, num_cores=1,
+            ), (spec.fault_id, case.case_id)
 
     def test_same_byte_on_different_pages_differs(self, dead_store_program):
         first = self._boot(dead_store_program)
